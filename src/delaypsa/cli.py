@@ -230,8 +230,6 @@ def _build_parser():
                        help="Gauss-Newton residual tolerance (default 1e-10, scaled)")
         p.add_argument("--max-iter", type=int, default=100, dest="max_iter",
                        help="bisection iteration budget (default 100)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed numpy's global RNG (reserved for randomized fixtures)")
         p.add_argument("--output", default=None,
                        help="write the result here instead of stdout")
 
@@ -267,8 +265,6 @@ def main(argv=None):
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:

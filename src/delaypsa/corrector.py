@@ -57,14 +57,6 @@ def sv_threshold(pert, system, sigma):
     return xi, dxi
 
 
-def _shifted(system, sigma):
-    """Matrices of the system shifted by sigma; A_{sigma,0} = A_0 - sigma*I."""
-    mats = [system.matrices[0] - sigma * np.eye(system.n)]
-    for tau, a in zip(system.delays[1:], system.matrices[1:]):
-        mats.append(a * math.exp(-sigma * tau))
-    return mats
-
-
 def build_nleig(shifted_system, lam, xi):
     """Doubled nonlinear eigenvalue matrix H(lam, sigma, xi), 2n x 2n.
 

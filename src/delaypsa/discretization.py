@@ -11,12 +11,13 @@ characteristic roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .model import TimeDelaySystem
+from .model import TimeDelaySystem, eval_weight
 
 __all__ = [
     "SingularResolventError",
@@ -29,6 +30,7 @@ __all__ = [
     "rational_exp_nodes",
     "rational_exp",
     "char_matrix_approx",
+    "level_approx",
     "transfer_function",
     "spectral_abscissa_approx",
 ]
@@ -226,6 +228,25 @@ def char_matrix_approx(disc, lam):
         p = lv[-1] + lv[:-1] @ nodes
         f -= a * p
     return f
+
+
+def level_approx(disc, pert, sigma, omega):
+    """Discretized level function f_N(sigma + j*omega) = w(sigma) / sigma_min(F_N).
+
+    On a pole of the rational interpolant lam is nudged right by
+    1e-9 * (1 + |lam|); a second pole there raises SingularResolventError.
+    """
+    lam = complex(sigma, omega)
+    try:
+        fmat = char_matrix_approx(disc, lam)
+    except SingularResolventError:
+        # poles of the rational interpolant are isolated; nudge off of one
+        fmat = char_matrix_approx(disc, lam + 1e-9 * (1.0 + abs(lam)))
+    smin = numerics.svd_complex(fmat).values[-1]
+    w = eval_weight(pert, disc.system, sigma)
+    if smin == 0.0:
+        return math.inf
+    return w / smin
 
 
 def transfer_function(disc, lam):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .discretization import char_matrix_approx, SingularResolventError
+from .discretization import level_approx
 from .model import check_pair, eval_weight
 
 __all__ = [
@@ -151,21 +151,6 @@ def grid_psa(system, pert, region, refine_iters=3):
                          complex(best_re, best_im))
 
 
-def _disc_level(disc, pert, sigma, omega):
-    """f_N(sigma + j*omega) for a discretization, via the rational matrix."""
-    lam = complex(sigma, omega)
-    try:
-        fmat = char_matrix_approx(disc, lam)
-    except SingularResolventError:
-        # poles of the rational interpolant are isolated; nudge off of one
-        fmat = char_matrix_approx(disc, lam + 1e-9 * (1.0 + abs(lam)))
-    smin = numerics.svd_complex(fmat).values[-1]
-    w = eval_weight(pert, disc.system, sigma)
-    if smin == 0.0:
-        return math.inf
-    return w / smin
-
-
 def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
     """sup over omega >= 0 of f_N(sigma + j*omega), one value per sigma.
 
@@ -182,12 +167,12 @@ def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
     candidates = np.unique(np.concatenate([base, seeds]))
     out = []
     for sigma in np.atleast_1d(np.asarray(sigmas, dtype=float)):
-        vals = np.array([_disc_level(disc, pert, sigma, w) for w in candidates])
+        vals = np.array([level_approx(disc, pert, sigma, w) for w in candidates])
         k = int(np.argmax(vals))
         lo = candidates[max(k - 1, 0)]
         hi = candidates[min(k + 1, len(candidates) - 1)]
         out.append(_golden_max(
-            lambda w: _disc_level(disc, pert, sigma, w), lo, hi, vals[k]
+            lambda w: level_approx(disc, pert, sigma, w), lo, hi, vals[k]
         ))
     return np.array(out)
 

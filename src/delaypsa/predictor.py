@@ -11,7 +11,9 @@ has imaginary-axis eigenvalues exactly when the line still meets the
 approximate pseudospectrum.  Bisection on sigma (with exponential search
 for the initial upper bound) yields the predicted abscissa together with
 the frequencies where the line touches the level set; both seed the
-corrector.
+corrector.  Most trial sigmas are proved inside by one n x n singular
+value at a candidate frequency, so the eigensolve of H runs only where
+that certificate fails (see `bisect`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .discretization import assemble, spectral_abscissa_approx
+from .discretization import (
+    SingularResolventError,
+    assemble,
+    level_approx,
+    spectral_abscissa_approx,
+)
 from .model import char_matrix, char_matrix_slope, eval_weight, shift_system
 
 __all__ = [
@@ -153,21 +160,52 @@ def imaginary_axis_frequencies(ham, tol_im=None):
     return np.array(merged)
 
 
+def _inside_certificate(disc, pert, sigma, candidates):
+    """Index of the first candidate frequency proving sigma inside, or None.
+
+    sigma_min(F_N(sigma + j*omega)) < eps * w(sigma) at one omega makes the
+    norm of the transfer function along Re = sigma exceed 1/(eps w(sigma));
+    as that norm decays to 0 at infinite frequency, the threshold is met at
+    some real omega*, so H(sigma) has the imaginary eigenvalue j*omega*.  A
+    1e-8 relative margin keeps the verdict clear of rounding.  The pole
+    nudge in level_approx moves right, which for sigma > alpha(A_N) can only
+    lower the transfer-function norm's sup, so the implication survives it.
+    """
+    threshold = 1.0 / ((1.0 - 1e-8) * pert.epsilon)
+    for k, omega in enumerate(candidates):
+        try:
+            if level_approx(disc, pert, sigma, omega) > threshold:
+                return k
+        except SingularResolventError:
+            continue
+    return None
+
+
 def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
            shift=0.0):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
     Starts from sigma_lo = alpha(A_N) with the upper end at infinity; the
     step doubles while no finite upper bound exists, then ordinary
-    bisection takes over.  The imaginary-axis test of `hamiltonian` decides
-    which side of the level set a trial sigma is on.  The returned
-    alpha_pred is the final lower end (inside the level set); frequencies
-    are read off the test matrix there.  `shift` only relabels the output
-    coordinates (sigma -> sigma + shift).
+    bisection takes over.  A trial sigma is first tested at a few candidate
+    frequencies with `_inside_certificate` (one n x n singular value each);
+    only when none proves sigma inside does the imaginary-axis test of
+    `hamiltonian` decide.  The certificate implies that test's verdict, so
+    the sigma sequence is the same as with eigensolves alone.  Candidates
+    are the last certified frequency, then the midpoints of the last
+    eigensolve's crossings, initially the frequency of the rightmost
+    eigenvalue of A_N.  The returned alpha_pred is the final lower end
+    (inside the level set); frequencies are read off the test matrix there,
+    reusing the eigensolve that set sigma_lo when there was one.  `shift`
+    only relabels the output coordinates (sigma -> sigma + shift).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    sigma_lo = spectral_abscissa_approx(disc)
+    vals = numerics.eig_real(disc.state_matrix).eigenvalues
+    rightmost = vals[np.argmax(vals.real)]
+    sigma_lo = float(rightmost.real)
+    candidates = [abs(rightmost.imag)]
+    freqs_lo = None  # crossings of the eigensolve that set sigma_lo
     sigma_hi = math.inf
     delta = tol if delta_init is None else float(delta_init)
     iterations = 0
@@ -181,21 +219,34 @@ def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
             sigma_mid = sigma_lo + delta
         else:
             sigma_mid = 0.5 * (sigma_lo + sigma_hi)
-        ham = hamiltonian(disc, pert, sigma_mid)
-        if imaginary_axis_frequencies(ham, tol_im).size:
-            sigma_lo = sigma_mid
+        k = _inside_certificate(disc, pert, sigma_mid, candidates)
+        if k is not None:
+            candidates.insert(0, candidates.pop(k))
+            sigma_lo, freqs_lo = sigma_mid, None
         else:
-            sigma_hi = sigma_mid
+            freqs = imaginary_axis_frequencies(
+                hamiltonian(disc, pert, sigma_mid), tol_im
+            )
+            if freqs.size:
+                sigma_lo, freqs_lo = sigma_mid, freqs
+                # each inside interval of the line is [0, f1] or [f_i, f_i+1]
+                points = np.concatenate([[0.0], freqs])
+                candidates = list(0.5 * (points[:-1] + points[1:]))
+            else:
+                sigma_hi = sigma_mid
         iterations += 1
-    freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo), tol_im)
-    if freqs.size == 0:
+    if freqs_lo is None:
+        freqs_lo = imaginary_axis_frequencies(
+            hamiltonian(disc, pert, sigma_lo), tol_im
+        )
+    if freqs_lo.size == 0:
         raise PredictionError(
             "no boundary frequencies at the final lower bound; "
             "the imaginary-axis tolerance is too tight for this problem"
         )
     return PredictionResult(
         alpha_pred=shift + sigma_lo,
-        frequencies=freqs,
+        frequencies=freqs_lo,
         iterations=iterations,
         bracket=(shift + sigma_lo, shift + sigma_hi),
         shift_used=shift,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
-from delaypsa.discretization import assemble, transfer_function
+from delaypsa import predictor
+from delaypsa.discretization import (
+    assemble,
+    spectral_abscissa_approx,
+    transfer_function,
+)
 from delaypsa.model import shift_system
 from delaypsa.numerics import svd_complex
 from delaypsa.predictor import (
@@ -216,3 +221,127 @@ def test_predict_bound_exceeds_spectral_abscissa(random_system):
         system, pert = random_system(seed)
         res = predict(system, pert, N=12, tol=1e-4)
         assert res.alpha_pred >= res.shift_used - 1e-4
+
+
+# --- inside certificate ------------------------------------------------------
+
+
+def _criterion10_plant(rng, n, m):
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.1, 1.0, m)))
+    mats = tuple(rng.normal(0.0, 1.0, (n, n)) / math.sqrt(n)
+                 for _ in range(m + 1))
+    return TimeDelaySystem(delays, mats)
+
+
+def _wide_plant(rng, n, m):
+    # the wrong-basin reproducer's recipe (ROADMAP item 3)
+    mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
+    return TimeDelaySystem((0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m))),
+                           mats)
+
+
+def _stiff_plant(rng, n, m):
+    mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(10.0 ** rng.uniform(-3.0, 1.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
+@pytest.mark.parametrize("N", [4, 6, 15, 20])
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _wide_plant,
+                                    _stiff_plant])
+def test_certificate_implies_crossings(monkeypatch, recipe, N):
+    # every step the n x n certificate calls inside also has imaginary-axis
+    # eigenvalues of the test matrix, so skipping that eigensolve is safe
+    certify = predictor._inside_certificate
+    checked = []
+
+    def cross_checked(disc, pert, sigma, candidates):
+        k = certify(disc, pert, sigma, candidates)
+        if k is not None:
+            freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma))
+            checked.append((sigma, candidates[k], freqs.size))
+        return k
+
+    monkeypatch.setattr(predictor, "_inside_certificate", cross_checked)
+    for seed in range(4):
+        rng = np.random.default_rng([N, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (m + 1),
+                                float(10.0 ** rng.uniform(-3.0, 0.0)))
+        predict(system, pert, N=N, tol=1e-6)
+    assert checked
+    assert [c for c in checked if c[2] == 0] == []
+
+
+def _reference_bisect(disc, pert, tol, shift):
+    """The bisection with an eigensolve at every step and at the end."""
+    sigma_lo = spectral_abscissa_approx(disc)
+    sigma_hi = math.inf
+    delta = tol
+    iterations = 0
+    while sigma_hi - sigma_lo > tol:
+        if math.isinf(sigma_hi):
+            delta *= 2.0
+            sigma_mid = sigma_lo + delta
+        else:
+            sigma_mid = 0.5 * (sigma_lo + sigma_hi)
+        if imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_mid)).size:
+            sigma_lo = sigma_mid
+        else:
+            sigma_hi = sigma_mid
+        iterations += 1
+    freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
+    return (shift + sigma_lo, (shift + sigma_lo, shift + sigma_hi),
+            iterations, freqs)
+
+
+def _shifted_disc(system, pert, N):
+    sa = spectral_abscissa_exact(system, assemble(system, N)).value
+    shifted_sys, shifted_pert = shift_system(system, pert, sa)
+    return assemble(shifted_sys, N), shifted_pert, sa
+
+
+@pytest.fixture(scope="module")
+def large_plant():
+    # the acceptance criterion-10 plant, (n, m) = (10, 7)
+    system = _criterion10_plant(np.random.default_rng(7), 10, 7)
+    return system, PerturbationSpec((1.0,) * 8, 0.05)
+
+
+def _assert_matches_reference(disc, pert, tol, shift):
+    res = bisect(disc, pert, tol, shift=shift)
+    alpha, bracket, iterations, freqs = _reference_bisect(disc, pert, tol, shift)
+    assert res.alpha_pred == alpha
+    assert res.bracket == bracket
+    assert res.iterations == iterations
+    assert np.array_equal(res.frequencies, freqs)
+
+
+def test_bisect_matches_reference_disk():
+    pert = PerturbationSpec((1.0,), 0.25)
+    _assert_matches_reference(assemble(delay_free(0.0), 0), pert, 1e-6, 0.0)
+
+
+def test_bisect_matches_reference_one_delay(one_delay, one_delay_pert):
+    disc, pert, sa = _shifted_disc(one_delay, one_delay_pert, 15)
+    _assert_matches_reference(disc, pert, 1e-6, sa)
+
+
+def test_bisect_matches_reference_large(large_plant):
+    disc, pert, sa = _shifted_disc(*large_plant, 15)
+    _assert_matches_reference(disc, pert, 1e-6, sa)
+
+
+def test_predict_eigensolve_count_large(monkeypatch, large_plant):
+    # an eigensolve at every step needs 36 level tests on this plant
+    calls = []
+    level_test = predictor.imaginary_axis_frequencies
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return level_test(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "imaginary_axis_frequencies", counted)
+    predict(*large_plant, N=15, tol=1e-6)
+    assert len(calls) <= 14
