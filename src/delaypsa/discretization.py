@@ -123,6 +123,7 @@ class Discretization:
     D: np.ndarray
     state_matrix: np.ndarray  # (N+1)n x (N+1)n
     input_matrix: np.ndarray  # (N+1)n x n, unit block in the last block row
+    lagrange_rows: np.ndarray  # m x (N+1), row i-1 = lagrange_values(mesh, -tau_i)
 
     @property
     def N(self):
@@ -149,7 +150,7 @@ def assemble(system, N):
         mesh = Mesh(np.zeros(1), np.ones(1))
         return Discretization(
             system, mesh, np.zeros((1, 1)),
-            system.matrices[0].copy(), np.eye(n),
+            system.matrices[0].copy(), np.eye(n), np.zeros((0, 1)),
         )
     if N < 0:
         raise ValueError("invalid N: must be >= 0")
@@ -162,10 +163,11 @@ def assemble(system, N):
     dim = (N + 1) * n
     state = np.zeros((dim, dim))
     state[: N * n, :] = np.kron(d[:N, :], np.eye(n))
+    rows = np.array([lagrange_values(mesh, -tau)
+                     for tau in system.delays[1:]]).reshape(system.m, N + 1)
     gamma = [np.zeros((n, n)) for _ in range(N + 1)]
     gamma[N] += system.matrices[0]
-    for tau, a in zip(system.delays[1:], system.matrices[1:]):
-        lv = lagrange_values(mesh, -tau)
+    for lv, a in zip(rows, system.matrices[1:]):
         for k in range(N + 1):
             if lv[k]:
                 gamma[k] = gamma[k] + a * lv[k]
@@ -173,7 +175,7 @@ def assemble(system, N):
         state[N * n :, k * n : (k + 1) * n] = gamma[k]
     inp = np.zeros((dim, n))
     inp[N * n :, :] = np.eye(n)
-    return Discretization(system, mesh, d, state, inp)
+    return Discretization(system, mesh, d, state, inp, rows)
 
 
 def rational_exp_nodes(disc, lam):
@@ -223,8 +225,7 @@ def char_matrix_approx(disc, lam):
     if system.m == 0:
         return f
     nodes = rational_exp_nodes(disc, lam)
-    for tau, a in zip(system.delays[1:], system.matrices[1:]):
-        lv = lagrange_values(disc.mesh, -tau)
+    for lv, a in zip(disc.lagrange_rows, system.matrices[1:]):
         p = lv[-1] + lv[:-1] @ nodes
         f -= a * p
     return f

@@ -66,30 +66,44 @@ class GridRegion:
         return np.linspace(self.im_min, self.im_max, self.n_im)
 
 
-def _smallest_singular_grid(system, region):
-    """sigma_min(F(lam)) on the grid, shape (n_im, n_re), evaluated in chunks."""
-    re = region.re_axis()
-    im = region.im_axis()
-    lam = (re[None, :] + 1j * im[:, None]).ravel()
+def _smallest_singular(system, lam):
+    """sigma_min(F(lam)) at every point of the array lam, evaluated in chunks.
+
+    Each chunk's stack lam*I - sum_i A_i exp(-lam*tau_i) is built in place
+    through one scratch stack, so no stack is allocated per delay.
+    """
+    flat = lam.ravel()
     n = system.n
     eye = np.eye(n, dtype=complex)
-    out = np.empty(lam.size)
-    for start in range(0, lam.size, max(1, _CHUNK // (n * n))):
-        chunk = lam[start : start + max(1, _CHUNK // (n * n))]
+    step = max(1, _CHUNK // (n * n))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, step):
+        chunk = flat[start : start + step]
         mats = chunk[:, None, None] * eye
+        tmp = np.empty_like(mats)
         for tau, a in zip(system.delays, system.matrices):
-            mats = mats - np.exp(-chunk * tau)[:, None, None] * a
+            np.multiply(np.exp(-chunk * tau)[:, None, None], a, out=tmp)
+            np.subtract(mats, tmp, out=mats)
         out[start : start + len(chunk)] = numerics.singular_values(mats)[:, -1]
-    return out.reshape(region.n_im, region.n_re)
+    return out.reshape(lam.shape)
+
+
+def _weight_row(system, pert, re):
+    """w(sigma) at every sigma of re."""
+    return np.array([eval_weight(pert, system, s) for s in re])
+
+
+def _level(system, pert, re, im):
+    """f at the nodes re + j*im, shape (len(im), len(re)); +inf at roots."""
+    smin = _smallest_singular(system, re[None, :] + 1j * im[:, None])
+    with np.errstate(divide="ignore"):
+        return _weight_row(system, pert, re)[None, :] / smin
 
 
 def grid_level(system, pert, region):
     """Level function f on the grid, shape (n_im, n_re); +inf at roots."""
     check_pair(system, pert)
-    smin = _smallest_singular_grid(system, region)
-    w = np.array([eval_weight(pert, system, s) for s in region.re_axis()])
-    with np.errstate(divide="ignore"):
-        return w[None, :] / smin
+    return _level(system, pert, region.re_axis(), region.im_axis())
 
 
 @dataclass(frozen=True)
@@ -108,26 +122,12 @@ def grid_psa(system, pert, region, refine_iters=3):
     window around the maximizer at 10x resolution, refine_iters times.  The
     right edge of the region must stay outside the level set, otherwise the
     region cannot contain the rightmost point and RegionTooSmallError is
-    raised.  Reported resolution is the final cell width along Re.
+    raised.  Reported resolution is the final cell width along Re.  Columns
+    are evaluated from the right edge inward and the sweep stops at the
+    maximizer's column, so the cost scales with the columns right of it.
     """
     check_pair(system, pert)
-    level = 1.0 / pert.epsilon
-    f = grid_level(system, pert, region)
-    if (f[:, -1] >= level).any():
-        raise RegionTooSmallError(
-            "level set reaches the right edge; extend re_max"
-        )
-    mask = f >= level
-    if not mask.any():
-        raise EmptyPseudospectrumError(
-            "no grid node reaches the level; enlarge the region or refine the grid"
-        )
-    re = region.re_axis()
-    im = region.im_axis()
-    cols = np.where(mask.any(axis=0))[0]
-    j = cols.max()
-    i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
-    best_re, best_im = re[j], im[i]
+    best_re, best_im = _rightmost_inside(system, pert, region, edge_rule=True)
     cell_re = (region.re_max - region.re_min) / (region.n_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.n_im - 1)
     for _ in range(refine_iters):
@@ -136,19 +136,41 @@ def grid_psa(system, pert, region, refine_iters=3):
             best_im - cell_im, best_im + cell_im,
             21, 21,
         )
-        f = grid_level(system, pert, sub)
-        mask = f >= level
-        # the previous maximizer is the center node, so the mask is nonempty
-        re = sub.re_axis()
-        im = sub.im_axis()
-        cols = np.where(mask.any(axis=0))[0]
-        j = cols.max()
-        i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
-        best_re, best_im = re[j], im[i]
+        # the previous maximizer is the center node, so sub has an inside node
+        best_re, best_im = _rightmost_inside(system, pert, sub, edge_rule=False)
         cell_re /= 10.0
         cell_im /= 10.0
     return GridPsaResult(float(best_re), float(cell_re),
                          complex(best_re, best_im))
+
+
+def _rightmost_inside(system, pert, region, edge_rule):
+    """Rightmost column with a node at f >= 1/eps, and its largest-f node there.
+
+    Columns are evaluated in blocks of one batched sweep each, from the
+    right edge inward, and the scan stops at the first block with an inside
+    node: columns left of that block cannot move the answer.  With
+    edge_rule, an inside node on the right edge raises RegionTooSmallError.
+    """
+    level = 1.0 / pert.epsilon
+    re = region.re_axis()
+    im = region.im_axis()
+    width = max(1, _CHUNK // (system.n * system.n * region.n_im))
+    for stop in range(region.n_re, 0, -width):
+        cols = re[max(stop - width, 0) : stop]
+        f = _level(system, pert, cols, im)
+        mask = f >= level
+        if edge_rule and stop == region.n_re and mask[:, -1].any():
+            raise RegionTooSmallError(
+                "level set reaches the right edge; extend re_max"
+            )
+        if mask.any():
+            j = np.where(mask.any(axis=0))[0].max()
+            i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
+            return cols[j], im[i]
+    raise EmptyPseudospectrumError(
+        "no grid node reaches the level; enlarge the region or refine the grid"
+    )
 
 
 def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
@@ -232,12 +254,11 @@ def contours(system, pert, region):
     vertex at the end.
     """
     check_pair(system, pert)
-    smin = _smallest_singular_grid(system, region)
-    w = np.array([eval_weight(pert, system, s) for s in region.re_axis()])
-    g = smin / w[None, :]
-    level = pert.epsilon
     re = region.re_axis()
     im = region.im_axis()
+    g = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
+         / _weight_row(system, pert, re)[None, :])
+    level = pert.epsilon
     inside = g < level
 
     def interp(i0, j0, i1, j1):

@@ -143,6 +143,16 @@ def test_assemble_input_matrix_shape():
     assert np.allclose(b[-2:], np.eye(2))
 
 
+def test_assemble_lagrange_rows_at_delays():
+    sys2 = TimeDelaySystem((0.0, 0.4, 1.0), (np.zeros((1, 1)),) * 3)
+    disc = assemble(sys2, 6)
+    assert disc.lagrange_rows.shape == (2, 7)
+    for row, tau in zip(disc.lagrange_rows, (0.4, 1.0)):
+        assert np.array_equal(row, lagrange_values(disc.mesh, -tau))
+    assert assemble(delay_free(1.0), 4).lagrange_rows.shape == (0, 5)
+    assert assemble(delay_free(1.0), 0).lagrange_rows.shape == (0, 1)
+
+
 def test_assemble_delay_free_n0():
     a0 = np.array([[1.0, 2.0], [0.0, -1.0]])
     disc = assemble(TimeDelaySystem((0.0,), (a0,)), 0)

@@ -12,9 +12,11 @@ from delaypsa import (
     grid_level,
     grid_psa,
 )
+from delaypsa import numerics
 from delaypsa.discretization import assemble, spectral_abscissa_approx
 from delaypsa.oracle import (
     EmptyPseudospectrumError,
+    GridPsaResult,
     RegionTooSmallError,
     frequency_bound,
     level_sup_profile,
@@ -117,6 +119,131 @@ def test_grid_psa_matches_corrector(one_delay, one_delay_pert):
     grid = grid_psa(one_delay, one_delay_pert, reg, refine_iters=3)
     assert abs(grid.value - res.alpha_eps) <= 2e-3
     assert abs(grid.location.imag - res.omega_eps) < 1e-2
+
+
+# --- right-to-left column scan -----------------------------------------------
+
+
+def full_grid_psa(system, pert, region, refine_iters=3):
+    """grid_psa evaluated on the whole grid through grid_level, as before the
+    right-to-left scan; the scan must reproduce it exactly."""
+    level = 1.0 / pert.epsilon
+    f = grid_level(system, pert, region)
+    if (f[:, -1] >= level).any():
+        raise RegionTooSmallError(
+            "level set reaches the right edge; extend re_max"
+        )
+    mask = f >= level
+    if not mask.any():
+        raise EmptyPseudospectrumError(
+            "no grid node reaches the level; enlarge the region or refine the grid"
+        )
+    re = region.re_axis()
+    im = region.im_axis()
+    cols = np.where(mask.any(axis=0))[0]
+    j = cols.max()
+    i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
+    best_re, best_im = re[j], im[i]
+    cell_re = (region.re_max - region.re_min) / (region.n_re - 1)
+    cell_im = (region.im_max - region.im_min) / (region.n_im - 1)
+    for _ in range(refine_iters):
+        sub = GridRegion(
+            best_re - cell_re, best_re + cell_re,
+            best_im - cell_im, best_im + cell_im,
+            21, 21,
+        )
+        f = grid_level(system, pert, sub)
+        mask = f >= level
+        re = sub.re_axis()
+        im = sub.im_axis()
+        cols = np.where(mask.any(axis=0))[0]
+        j = cols.max()
+        i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
+        best_re, best_im = re[j], im[i]
+        cell_re /= 10.0
+        cell_im /= 10.0
+    return GridPsaResult(float(best_re), float(cell_re),
+                         complex(best_re, best_im))
+
+
+@pytest.fixture(scope="module")
+def large_case():
+    """The (10, 7) criterion-10 plant on a 201 x 201 region around its
+    rightmost point, right edge at alpha + 0.0537 and left edge at
+    alpha - 0.15, so the answer sits in column 147."""
+    rng = np.random.default_rng(7)
+    n, m = 10, 7
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.1, 1.0, m)))
+    mats = tuple(rng.normal(0.0, 1.0, (n, n)) / math.sqrt(n)
+                 for _ in range(m + 1))
+    system = TimeDelaySystem(delays, mats)
+    pert = PerturbationSpec((1.0,) * (m + 1), 0.05)
+    res = compute_psa(system, pert, N=15, tol=1e-3)
+    a, w, h = res.alpha_eps, res.omega_eps, 0.1
+    region = GridRegion(a - 1.5 * h, a + 0.537 * h, w - h, w + h, 201, 201)
+    return system, pert, region
+
+
+def normal_ten():
+    # diag(-1, ..., -10): n = 10 makes a 41-column region span five blocks,
+    # and with eps = 0.3 only columns 0-4 reach the level
+    system = TimeDelaySystem((0.0,), (np.diag(-np.arange(1.0, 11.0)),))
+    region = GridRegion(-1.2, 3.0, -0.5, 0.5, 41, 201)
+    return system, disk_pert(0.3), region
+
+
+@pytest.mark.parametrize("case", ["disk", "union", "one_delay", "large",
+                                  "leftmost"])
+def test_grid_psa_scan_matches_full_grid(case, request):
+    if case == "disk":
+        args = (delay_free(0.0), disk_pert(0.25),
+                GridRegion(-0.5, 0.5, -0.5, 0.5, 101, 101))
+    elif case == "union":
+        args = (TimeDelaySystem((0.0,), (np.diag([-1.0, -2.0]),)),
+                disk_pert(0.3), GridRegion(-1.6, 0.0, -0.6, 0.6, 161, 121))
+    elif case == "one_delay":
+        args = (request.getfixturevalue("one_delay"),
+                request.getfixturevalue("one_delay_pert"),
+                GridRegion(-0.4, 0.1, 0.9, 1.7, 126, 201))
+    elif case == "large":
+        args = request.getfixturevalue("large_case")
+    else:
+        args = normal_ten()
+    got = grid_psa(*args)
+    want = full_grid_psa(*args)
+    assert got.value == want.value
+    assert got.resolution == want.resolution
+    assert got.location == want.location
+
+
+def test_grid_psa_leftmost_answer_visits_every_block(monkeypatch):
+    system, pert, region = normal_ten()
+    seen = []
+    kernel = numerics.singular_values
+
+    def counting(stack):
+        seen.append(stack.shape[0])
+        return kernel(stack)
+
+    monkeypatch.setattr(numerics, "singular_values", counting)
+    res = grid_psa(system, pert, region, refine_iters=0)
+    assert abs(res.value - (-0.7)) <= 4.2 / 40.0
+    assert seen == [9 * 201] * 4 + [5 * 201]
+
+
+def test_grid_psa_evaluates_only_columns_right_of_answer(large_case,
+                                                         monkeypatch):
+    counted = [0]
+    kernel = numerics.singular_values
+
+    def counting(stack):
+        counted[0] += stack.shape[0]
+        return kernel(stack)
+
+    monkeypatch.setattr(numerics, "singular_values", counting)
+    grid_psa(*large_case)
+    # the full grid would be 201 * 201 + 3 * 441
+    assert counted[0] <= 63 * 201 + 3 * 441
 
 
 # --- frequency-sup profile ---------------------------------------------------
