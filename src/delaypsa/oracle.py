@@ -5,6 +5,13 @@ function, and contour extraction for plotting.
 Everything here avoids the predictor/corrector machinery on purpose: the
 only ingredients are the characteristic matrix, the weight, and dense
 singular value sweeps, so results can cross-check the fast path.
+
+sigma_min is 1-Lipschitz and ||F(lam) - F(mu)||_2 <= L |lam - mu| on a
+region with L = 1 + sum_i tau_i ||A_i||_2 exp(-tau_i re_min), so
+|sigma_min(F(lam)) - sigma_min(F(c))| <= L |lam - c| there.  contours uses
+this to place most nodes on their side of the level set unevaluated, so
+its cost grows with the length of the boundary; grid_level still
+evaluates every node.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ __all__ = [
 ]
 
 _CHUNK = 200_000  # grid points per batched SVD call, bounds memory
+_STRIDES = (8, 2)  # lattices contours evaluates before the undecided nodes
+_MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||
 
 
 class RegionTooSmallError(Exception):
@@ -251,15 +260,16 @@ def contours(system, pert, region):
     roots (f is not), so linear edge interpolation stays well conditioned.
     Saddle cells are disambiguated with the cell-center average.  Chains
     are stitched on shared grid edges; closed loops repeat their first
-    vertex at the end.
+    vertex at the end.  sigma_min(F) is evaluated only where a Lipschitz
+    bound cannot place a node on its side of the level set, and at the
+    corners of the cells the boundary crosses (see _boundary_field), so
+    the cost grows with the length of the boundary.
     """
     check_pair(system, pert)
     re = region.re_axis()
     im = region.im_axis()
-    g = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
-         / _weight_row(system, pert, re)[None, :])
+    g, inside, mixed = _boundary_field(system, pert, re, im)
     level = pert.epsilon
-    inside = g < level
 
     def interp(i0, j0, i1, j1):
         ga, gb = g[i0, j0], g[i1, j1]
@@ -282,48 +292,114 @@ def contours(system, pert, region):
                 points[key] = interp(i, j, i + 1, j)
         return key
 
-    for i in range(region.n_im - 1):
-        for j in range(region.n_re - 1):
-            # bool() casts matter: numpy bools add as logical or
-            b00 = bool(inside[i, j])
-            b10 = bool(inside[i, j + 1])
-            b11 = bool(inside[i + 1, j + 1])
-            b01 = bool(inside[i + 1, j])
-            count = int(b00) + int(b10) + int(b11) + int(b01)
-            if count in (0, 4):
-                continue
-            bottom = ("h", i, j)
-            top = ("h", i + 1, j)
-            left = ("v", i, j)
-            right = ("v", i, j + 1)
-            if count in (1, 3):
-                flag = count == 1
-                if b00 == flag:
-                    pairs = [(left, bottom)]
-                elif b10 == flag:
-                    pairs = [(bottom, right)]
-                elif b11 == flag:
-                    pairs = [(right, top)]
-                else:
-                    pairs = [(top, left)]
-            elif b00 == b10:  # horizontal split
-                pairs = [(left, right)]
-            elif b00 == b01:  # vertical split
-                pairs = [(bottom, top)]
-            else:  # saddle; connect according to the center sample
-                center_inside = 0.25 * (
-                    g[i, j] + g[i, j + 1] + g[i + 1, j] + g[i + 1, j + 1]
-                ) < level
-                if b00 and b11:
-                    pairs = ([(bottom, right), (top, left)] if center_inside
-                             else [(left, bottom), (right, top)])
-                else:
-                    pairs = ([(left, bottom), (right, top)] if center_inside
-                             else [(bottom, right), (top, left)])
-            for a, b in pairs:
-                segments.append((edge_point(*a), edge_point(*b)))
+    # row-major, the order in which segments reach _stitch
+    for i, j in np.argwhere(mixed).tolist():
+        # bool() casts matter: numpy bools add as logical or
+        b00 = bool(inside[i, j])
+        b10 = bool(inside[i, j + 1])
+        b11 = bool(inside[i + 1, j + 1])
+        b01 = bool(inside[i + 1, j])
+        count = int(b00) + int(b10) + int(b11) + int(b01)
+        bottom = ("h", i, j)
+        top = ("h", i + 1, j)
+        left = ("v", i, j)
+        right = ("v", i, j + 1)
+        if count in (1, 3):
+            flag = count == 1
+            if b00 == flag:
+                pairs = [(left, bottom)]
+            elif b10 == flag:
+                pairs = [(bottom, right)]
+            elif b11 == flag:
+                pairs = [(right, top)]
+            else:
+                pairs = [(top, left)]
+        elif b00 == b10:  # horizontal split
+            pairs = [(left, right)]
+        elif b00 == b01:  # vertical split
+            pairs = [(bottom, top)]
+        else:  # saddle; connect according to the center sample
+            center_inside = 0.25 * (
+                g[i, j] + g[i, j + 1] + g[i + 1, j] + g[i + 1, j + 1]
+            ) < level
+            if b00 and b11:
+                pairs = ([(bottom, right), (top, left)] if center_inside
+                         else [(left, bottom), (right, top)])
+            else:
+                pairs = ([(left, bottom), (right, top)] if center_inside
+                         else [(bottom, right), (top, left)])
+        for a, b in pairs:
+            segments.append((edge_point(*a), edge_point(*b)))
 
     return ContourSet(1.0 / pert.epsilon, tuple(_stitch(segments, points)))
+
+
+def _boundary_field(system, pert, re, im):
+    """The nodes' sides of the level set and the values contours reads.
+
+    Returns (g, inside, mixed) over the grid re + j*im: g is sigma_min(F)/w
+    at evaluated nodes and nan elsewhere, inside is g < eps at every node,
+    and mixed marks the cells with corners on both sides, whose corners are
+    all evaluated.  By the bound in the module docstring, a node at distance
+    d from an evaluated node c with |sigma_min(F(c)) - eps*w| > L*d + margin
+    lies on the side of c.  Each lattice of _STRIDES is evaluated where
+    undecided and places the nodes its nearest lattice node decides; then
+    the undecided nodes and the unevaluated corners of mixed cells are
+    evaluated, so no node is evaluated twice.
+    """
+    shape = (len(im), len(re))
+    w = _weight_row(system, pert, re)
+    eps_w = pert.epsilon * w
+    norms = [np.linalg.norm(a, 2) for a in system.matrices]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lip = 1.0 + sum(tau * na * np.exp(-tau * re[0])
+                        for tau, na in zip(system.delays, norms))
+    slack = _MARGIN * (1.0 + sum(norms) + math.hypot(
+        max(abs(re[0]), abs(re[-1])), max(abs(im[0]), abs(im[-1]))))
+    smin = np.full(shape, np.nan)  # nan until evaluated
+    known = np.zeros(shape, dtype=bool)  # side decided
+    inside = np.zeros(shape, dtype=bool)
+
+    def evaluate(mask):
+        rows, cols = np.nonzero(mask)
+        smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
+        inside[rows, cols] = smin[rows, cols] / w[cols] < pert.epsilon
+        known[rows, cols] = True
+
+    for stride in _STRIDES:
+        near_r = _nearest_on_lattice(shape[0], stride)
+        near_c = _nearest_on_lattice(shape[1], stride)
+        on_r = near_r == np.arange(shape[0])
+        on_c = near_c == np.arange(shape[1])
+        evaluate(on_r[:, None] & on_c[None, :] & ~known)
+        if not np.isfinite(lip):
+            continue
+        gap = smin[near_r[:, None], near_c[None, :]] - eps_w[None, :]
+        dist = np.hypot((im - im[near_r])[:, None], (re - re[near_c])[None, :])
+        placed = ~known & (np.abs(gap) > lip * dist + slack)  # false at nan
+        inside[placed] = gap[placed] < 0.0
+        known |= placed
+    evaluate(~known)
+
+    count = (inside[:-1, :-1].astype(np.int8) + inside[:-1, 1:]
+             + inside[1:, :-1] + inside[1:, 1:])
+    mixed = (count > 0) & (count < 4)
+    corners = np.zeros(shape, dtype=bool)
+    corners[:-1, :-1] |= mixed
+    corners[:-1, 1:] |= mixed
+    corners[1:, :-1] |= mixed
+    corners[1:, 1:] |= mixed
+    evaluate(corners & np.isnan(smin))
+    return smin / w[None, :], inside, mixed
+
+
+def _nearest_on_lattice(size, stride):
+    """For each of 0..size-1, the nearest of 0, stride, 2*stride, ... and
+    size - 1."""
+    idx = np.arange(size)
+    lo = idx - idx % stride
+    hi = np.minimum(lo + stride, size - 1)
+    return np.where(idx - lo <= hi - idx, lo, hi)
 
 
 def _stitch(segments, points):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,19 @@ def random_system():
         return system, pert
 
     return make
+
+
+# random plant recipes: rng, n, m -> TimeDelaySystem
+
+
+def _criterion10_plant(rng, n, m):
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.1, 1.0, m)))
+    mats = tuple(rng.normal(0.0, 1.0, (n, n)) / math.sqrt(n)
+                 for _ in range(m + 1))
+    return TimeDelaySystem(delays, mats)
+
+
+def _stiff_plant(rng, n, m):
+    mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(10.0 ** rng.uniform(-3.0, 1.0, m)))
+    return TimeDelaySystem(delays, mats)

@@ -14,15 +14,21 @@ from delaypsa import (
 )
 from delaypsa import numerics
 from delaypsa.discretization import assemble, spectral_abscissa_approx
+from delaypsa.model import check_pair
 from delaypsa.oracle import (
+    ContourSet,
     EmptyPseudospectrumError,
     GridPsaResult,
     RegionTooSmallError,
+    _boundary_field,
+    _smallest_singular,
+    _stitch,
+    _weight_row,
     frequency_bound,
     level_sup_profile,
 )
 
-from conftest import delay_free
+from conftest import _criterion10_plant, _stiff_plant, delay_free
 
 
 def disk_pert(eps):
@@ -349,3 +355,185 @@ def test_contours_vertices_sit_on_level_set(one_delay, one_delay_pert):
             worst = max(worst, abs(eval_level(one_delay, one_delay_pert, z) - level))
     # linear interpolation error scales with the cell size
     assert worst < 0.05 * level
+
+
+# --- contours against the full grid ------------------------------------------
+
+
+def full_grid_contours(system, pert, region):
+    """contours with sigma_min evaluated at every grid node and every cell
+    visited, as before the Lipschitz placement; contours must reproduce it
+    exactly."""
+    check_pair(system, pert)
+    re = region.re_axis()
+    im = region.im_axis()
+    g = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
+         / _weight_row(system, pert, re)[None, :])
+    level = pert.epsilon
+    inside = g < level
+
+    def interp(i0, j0, i1, j1):
+        ga, gb = g[i0, j0], g[i1, j1]
+        t = 0.5 if gb == ga else (level - ga) / (gb - ga)
+        t = min(max(t, 0.0), 1.0)
+        x = re[j0] + t * (re[j1] - re[j0])
+        y = im[i0] + t * (im[i1] - im[i0])
+        return complex(x, y)
+
+    # edge keys: ("h", i, j) joins (i, j)-(i, j+1); ("v", i, j) joins (i, j)-(i+1, j)
+    points = {}
+    segments = []
+
+    def edge_point(kind, i, j):
+        key = (kind, i, j)
+        if key not in points:
+            if kind == "h":
+                points[key] = interp(i, j, i, j + 1)
+            else:
+                points[key] = interp(i, j, i + 1, j)
+        return key
+
+    for i in range(region.n_im - 1):
+        for j in range(region.n_re - 1):
+            # bool() casts matter: numpy bools add as logical or
+            b00 = bool(inside[i, j])
+            b10 = bool(inside[i, j + 1])
+            b11 = bool(inside[i + 1, j + 1])
+            b01 = bool(inside[i + 1, j])
+            count = int(b00) + int(b10) + int(b11) + int(b01)
+            if count in (0, 4):
+                continue
+            bottom = ("h", i, j)
+            top = ("h", i + 1, j)
+            left = ("v", i, j)
+            right = ("v", i, j + 1)
+            if count in (1, 3):
+                flag = count == 1
+                if b00 == flag:
+                    pairs = [(left, bottom)]
+                elif b10 == flag:
+                    pairs = [(bottom, right)]
+                elif b11 == flag:
+                    pairs = [(right, top)]
+                else:
+                    pairs = [(top, left)]
+            elif b00 == b10:  # horizontal split
+                pairs = [(left, right)]
+            elif b00 == b01:  # vertical split
+                pairs = [(bottom, top)]
+            else:  # saddle; connect according to the center sample
+                center_inside = 0.25 * (
+                    g[i, j] + g[i, j + 1] + g[i + 1, j] + g[i + 1, j + 1]
+                ) < level
+                if b00 and b11:
+                    pairs = ([(bottom, right), (top, left)] if center_inside
+                             else [(left, bottom), (right, top)])
+                else:
+                    pairs = ([(left, bottom), (right, top)] if center_inside
+                             else [(bottom, right), (top, left)])
+            for a, b in pairs:
+                segments.append((edge_point(*a), edge_point(*b)))
+
+    return ContourSet(1.0 / pert.epsilon, tuple(_stitch(segments, points)))
+
+
+def _contour_case(case, request):
+    if case == "disk":
+        return (delay_free(0.0), disk_pert(0.25),
+                GridRegion(-0.5, 0.5, -0.5, 0.5, 201, 201))
+    if case == "union":
+        # the disks around -1 and -2 touch at -1.5
+        return (TimeDelaySystem((0.0,), (np.diag([-1.0, -2.0]),)),
+                disk_pert(0.5), GridRegion(-2.7, -0.3, -0.7, 0.7, 161, 121))
+    if case == "neck":
+        # normal, eigenvalues -1 +- j and -2 +- 2j: the disks overlap in a
+        # diagonal neck, so cells there are saddles
+        a = np.zeros((4, 4))
+        a[:2, :2] = [[-1.0, 1.0], [-1.0, -1.0]]
+        a[2:, 2:] = [[-2.0, 2.0], [-2.0, -2.0]]
+        return (TimeDelaySystem((0.0,), (a,)), disk_pert(0.72),
+                GridRegion(-3.0, 0.0, 0.0, 3.0, 201, 201))
+    if case in ("one_delay_81", "one_delay_201"):
+        region = (GridRegion(-0.3, 0.1, 0.5, 1.8, 81, 81)
+                  if case == "one_delay_81"
+                  else GridRegion(-0.6, 0.2, -2.0, 2.0, 201, 201))
+        return (request.getfixturevalue("one_delay"),
+                request.getfixturevalue("one_delay_pert"), region)
+    if case == "large":
+        return request.getfixturevalue("large_case")
+    # tau = 30 on re >= -3: L is about 1e40, so the bound places almost nothing
+    rng = np.random.default_rng(30)
+    system = TimeDelaySystem((0.0, 30.0),
+                             tuple(rng.uniform(-1.0, 1.0, (2, 2))
+                                   for _ in range(2)))
+    return (system, PerturbationSpec((1.0, 1.0), 0.1),
+            GridRegion(-3.0, 0.2, -2.0, 2.0, 101, 101))
+
+
+def _count_matrices(monkeypatch):
+    counted = [0]
+    kernel = numerics.singular_values
+
+    def counting(stack):
+        counted[0] += stack.shape[0]
+        return kernel(stack)
+
+    monkeypatch.setattr(numerics, "singular_values", counting)
+    return counted
+
+
+@pytest.mark.parametrize("case", ["disk", "union", "neck", "one_delay_81",
+                                  "one_delay_201", "large", "stiff"])
+def test_contours_match_full_grid(case, request, monkeypatch):
+    args = _contour_case(case, request)
+    counted = _count_matrices(monkeypatch)
+    got = contours(*args)
+    # no node is evaluated twice
+    assert counted[0] <= args[2].n_re * args[2].n_im
+    want = full_grid_contours(*args)
+    assert got.level == want.level
+    assert len(got.polylines) == len(want.polylines)
+    for a, b in zip(got.polylines, want.polylines):
+        assert np.array_equal(a, b)
+
+
+def test_contours_evaluate_few_nodes(large_case, monkeypatch):
+    counted = _count_matrices(monkeypatch)
+    contours(*large_case)
+    # the full grid is 201 * 201 = 40 401
+    assert counted[0] <= 8000
+
+
+def _delay_free_plant(rng, n, m):
+    return TimeDelaySystem((0.0,), (rng.uniform(-2.0, 2.0, (n, n)),))
+
+
+@pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
+                                    _stiff_plant])
+def test_boundary_field_is_sound(recipe):
+    # the bound-placed sides equal the evaluated ones at every node, and the
+    # values contours reads equal the full-grid values
+    placed = mixed_cells = 0
+    for seed in range(8):
+        rng = np.random.default_rng([11, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (system.m + 1),
+                                float(10.0 ** rng.uniform(-1.5, 0.5)))
+        re_min, im_min = rng.uniform(-3.0, 0.5), rng.uniform(-3.0, 1.0)
+        re = np.linspace(re_min, re_min + rng.uniform(0.5, 3.0),
+                         int(rng.integers(20, 90)))
+        im = np.linspace(im_min, im_min + rng.uniform(0.5, 4.0),
+                         int(rng.integers(20, 90)))
+        g, inside, mixed = _boundary_field(system, pert, re, im)
+        full = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
+                / _weight_row(system, pert, re)[None, :])
+        assert np.array_equal(inside, full < pert.epsilon)
+        corners = np.zeros(inside.shape, dtype=bool)
+        for rows in (slice(None, -1), slice(1, None)):
+            for cols in (slice(None, -1), slice(1, None)):
+                corners[rows, cols] |= mixed
+        assert np.array_equal(g[corners], full[corners])
+        placed += int(np.isnan(g).sum())
+        mixed_cells += int(mixed.sum())
+    assert placed > 0 and mixed_cells > 0

@@ -20,7 +20,7 @@ from delaypsa.predictor import (
     spectral_abscissa_exact,
 )
 
-from conftest import delay_free
+from conftest import _criterion10_plant, _stiff_plant, delay_free
 
 # principal root pair of lam + exp(-lam) = 0, frozen from an independent
 # Newton iteration at 1e-14 residual
@@ -226,24 +226,11 @@ def test_predict_bound_exceeds_spectral_abscissa(random_system):
 # --- inside certificate ------------------------------------------------------
 
 
-def _criterion10_plant(rng, n, m):
-    delays = (0.0,) + tuple(np.sort(rng.uniform(0.1, 1.0, m)))
-    mats = tuple(rng.normal(0.0, 1.0, (n, n)) / math.sqrt(n)
-                 for _ in range(m + 1))
-    return TimeDelaySystem(delays, mats)
-
-
 def _wide_plant(rng, n, m):
     # the wrong-basin reproducer's recipe (ROADMAP item 3)
     mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
     return TimeDelaySystem((0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m))),
                            mats)
-
-
-def _stiff_plant(rng, n, m):
-    mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
-    delays = (0.0,) + tuple(np.sort(10.0 ** rng.uniform(-3.0, 1.0, m)))
-    return TimeDelaySystem(delays, mats)
 
 
 @pytest.mark.parametrize("N", [4, 6, 15, 20])
