@@ -7,6 +7,7 @@ grid oracles for validation.
 """
 
 from .corrector import AllStartsFailedError, CorrectionResult, correct
+from .numerics import DelayPsaError
 from .model import (
     PerturbationSpec,
     TimeDelaySystem,
@@ -34,6 +35,7 @@ __all__ = [
     "correct",
     "CorrectionResult",
     "AllStartsFailedError",
+    "DelayPsaError",
     "compute_psa",
     "PsaResult",
     "GridRegion",

@@ -28,8 +28,9 @@ import time
 
 import numpy as np
 
-from .corrector import AllStartsFailedError
+from .corrector import AllStartsFailedError, correct
 from .model import PerturbationSpec, TimeDelaySystem
+from .numerics import DelayPsaError
 from .oracle import (
     EmptyPseudospectrumError,
     GridRegion,
@@ -38,8 +39,7 @@ from .oracle import (
     grid_psa,
 )
 from .pipeline import compute_psa
-from .predictor import PredictionError, spectral_abscissa_exact
-from .discretization import SingularResolventError, assemble
+from .predictor import predict
 
 __all__ = ["load_system_file", "system_file_dict", "main"]
 
@@ -162,7 +162,8 @@ def cmd_contour(args):
     pert = _override_epsilon(pert, args.epsilon)
     region = _region_from_args(args)
     curves = contours(system, pert, region)
-    sa = spectral_abscissa_exact(system, assemble(system, args.N))
+    prediction = predict(system, pert, N=args.N, tol=args.tol,
+                         max_iter=args.max_iter)
     lines = [
         f"# name={name}",
         f"# level={curves.level!r}",
@@ -170,17 +171,16 @@ def cmd_contour(args):
         f"# re_min={region.re_min!r} re_max={region.re_max!r}",
         f"# im_min={region.im_min!r} im_max={region.im_max!r}",
         f"# n_re={region.n_re} n_im={region.n_im}",
-        f"# spectral_abscissa={sa.value!r}",
+        f"# spectral_abscissa={prediction.shift_used!r}",
     ]
     try:
-        result = compute_psa(system, pert, N=args.N, tol=args.tol,
-                             gn_tol=args.gn_tol, max_iter_bisect=args.max_iter)
-        lines.append(f"# alpha_pred={result.prediction.alpha_pred!r}")
-        lines.append(f"# alpha_eps={result.alpha_eps!r}")
-        lines.append(f"# omega_eps={result.omega_eps!r}")
+        correction = correct(system, pert, prediction, gn_tol=args.gn_tol)
+        lines.append(f"# alpha_pred={prediction.alpha_pred!r}")
+        lines.append(f"# alpha_eps={correction.alpha_eps!r}")
+        lines.append(f"# omega_eps={correction.omega_eps!r}")
     except AllStartsFailedError as exc:
         lines.append(f"# alpha_eps_error={exc}")
-    for root in sa.roots:
+    for root in prediction.roots:
         lines.append(f"# root={float(root.real)!r},{float(root.imag)!r}")
     lines.append("polyline_id,re,im")
     for pid, poly in enumerate(curves.polylines):
@@ -267,18 +267,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except AllStartsFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PredictionError, SingularResolventError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     except RegionTooSmallError as exc:
         print(f"error: {exc} (grow --re-max past the level set)", file=sys.stderr)
         return 1
     except EmptyPseudospectrumError as exc:
         print(f"error: {exc} (check the region against the spectral abscissa)",
               file=sys.stderr)
+        return 1
+    except (DelayPsaError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,8 @@ an extremum in omega.  Packing a null vector [u; v], omega and sigma into
 one real unknown vector gives 4n+2 degrees of freedom constrained by 4n+3
 real equations (null vector, anchor normalization, extremality), solved by
 Gauss-Newton with the analytic Jacobian.  Starts come straight from the
-predictor's frequency list.
+predictor's frequency list.  F_sigma, F_sigma' and F_sigma'' come from
+`model.char_matrix`; each Gauss-Newton step makes one `jacobian` call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .model import check_pair, eval_weight, weight_slope, shift_system
+from .model import char_matrix, check_pair, eval_weight, shift_system
 
 __all__ = [
     "AllStartsFailedError",
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class AllStartsFailedError(Exception):
+class AllStartsFailedError(numerics.DelayPsaError):
     """No Gauss-Newton start converged; the prediction cannot be corrected."""
 
 
@@ -53,7 +54,7 @@ def sv_threshold(pert, system, sigma):
     """
     w = eval_weight(pert, system, sigma)
     xi = 1.0 / (pert.epsilon * w)
-    dxi = -xi * weight_slope(pert, system, sigma) / w
+    dxi = -xi * eval_weight(pert, system, sigma, 1) / w
     return xi, dxi
 
 
@@ -61,23 +62,18 @@ def build_nleig(shifted_system, lam, xi):
     """Doubled nonlinear eigenvalue matrix H(lam, sigma, xi), 2n x 2n.
 
     shifted_system carries the sigma-shifted matrices (see model.shift_system
-    for the weight half; only the matrices matter here).  Blocks:
-    top-left F_sigma(lam), top-right -xi^{-2} I, bottom-left I, bottom-right
-    lam I + A_{sigma,0}* + sum_i A_{sigma,i}* exp(+lam*tau_i).
+    for the weight half; only the matrices matter here).  With
+    f = char_matrix(shifted_system, lam) the blocks are [[f, -xi^{-2} I],
+    [I, -f*]]; every caller passes lam = j*omega, where -f* is
+    lam I + A_{sigma,0}^T + sum_i A_{sigma,i}^T exp(+lam*tau_i).
     """
     n = shifted_system.n
-    lam = complex(lam)
-    eye = np.eye(n)
-    tl = lam * eye.astype(complex) - shifted_system.matrices[0]
-    br = lam * eye.astype(complex) + shifted_system.matrices[0].T
-    for tau, a in zip(shifted_system.delays[1:], shifted_system.matrices[1:]):
-        tl -= a * np.exp(-lam * tau)
-        br += a.T * np.exp(lam * tau)
+    f = char_matrix(shifted_system, lam)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, :n] = tl
-    h[:n, n:] = -(xi ** -2) * eye
-    h[n:, :n] = eye
-    h[n:, n:] = br
+    h[:n, :n] = f
+    h[:n, n:] = -(xi ** -2) * np.eye(n)
+    h[n:, :n] = np.eye(n)
+    h[n:, n:] = -f.conj().T
     return h
 
 
@@ -127,51 +123,34 @@ class CorrectorState:
             self.omega = -self.omega
 
 
-def _extremality_factor(shifted_system, omega, order=1):
-    """sum_i tau_i^order A_{sigma,i} exp(-j*omega*tau_i), plus I for order 1."""
-    n = shifted_system.n
-    out = np.eye(n, dtype=complex) if order == 1 else np.zeros((n, n), complex)
-    for tau, a in zip(shifted_system.delays[1:], shifted_system.matrices[1:]):
-        out += (tau ** order) * a * np.exp(-1j * omega * tau)
-    return out
-
-
 def residual(system, pert, state):
-    """Real residual vector, length 4n+3.
-
-    Rows: Re/Im of H(j*omega) [u; v] (4n), Re/Im of anchor* [u; v] - 1 (2),
-    and the extremality condition Im{ v* (I + sum tau_i A_{sigma,i}
-    e^{-j omega tau_i}) u } (1).
-    """
-    check_pair(system, pert)
-    shifted, _ = shift_system(system, pert, state.sigma)
-    xi, _ = sv_threshold(pert, system, state.sigma)
-    h = build_nleig(shifted, 1j * state.omega, xi)
-    x = np.concatenate([state.u, state.v])
-    hx = h @ x
-    norm_res = state.anchor.conj() @ x - 1.0
-    p = _extremality_factor(shifted, state.omega)
-    g = float(np.imag(state.v.conj() @ (p @ state.u)))
-    return np.concatenate([
-        hx.real, hx.imag, [norm_res.real, norm_res.imag], [g],
-    ])
+    """Real residual vector r, length 4n+3, as returned by `jacobian`."""
+    return jacobian(system, pert, state)[0]
 
 
 def jacobian(system, pert, state):
-    """Analytic Jacobian of `residual` in (Re u, Im u, Re v, Im v, omega, sigma).
+    """Residual r and its analytic Jacobian J, from one shift and one H.
 
-    Shape (4n+3, 4n+2).  The omega column uses dH/domega = j*diag(P, P*) and
-    the sigma column chains through the shifted matrices (dA_{sigma,i}/dsigma
-    = -tau_i A_{sigma,i}, dA_{sigma,0}/dsigma = -I) and through xi(sigma).
+    r has rows Re/Im of H(j*omega) [u; v] (4n), Re/Im of anchor* [u; v] - 1
+    (2), and the extremality condition Im{ v* P u } (1), P = F_sigma'(j*omega).
+    J, shape (4n+3, 4n+2), is in (Re u, Im u, Re v, Im v, omega, sigma).  Its
+    omega column uses dH/domega = j*diag(P, P*) and its sigma column chains
+    through the shifted matrices (dA_{sigma,i}/dsigma = -tau_i A_{sigma,i},
+    dA_{sigma,0}/dsigma = -I) and through xi(sigma).
     """
-    check_pair(system, pert)
     n = system.n
     shifted, _ = shift_system(system, pert, state.sigma)
     xi, dxi = sv_threshold(pert, system, state.sigma)
     h = build_nleig(shifted, 1j * state.omega, xi)
     x = np.concatenate([state.u, state.v])
-    p = _extremality_factor(shifted, state.omega)
-    q = _extremality_factor(shifted, state.omega, order=2)
+    hx = h @ x
+    norm_res = state.anchor.conj() @ x - 1.0
+    p = char_matrix(shifted, 1j * state.omega, 1)
+    p2 = char_matrix(shifted, 1j * state.omega, 2)  # dP/dsigma; dP/domega = j*p2
+    g = float(np.imag(state.v.conj() @ (p @ state.u)))
+    r = np.concatenate([
+        hx.real, hx.imag, [norm_res.real, norm_res.imag], [g],
+    ])
 
     dh_domega = np.zeros((2 * n, 2 * n), dtype=complex)
     dh_domega[:n, :n] = 1j * p
@@ -221,9 +200,9 @@ def jacobian(system, pert, state):
     jac[4 * n + 2, n : 2 * n] = q_vec.real
     jac[4 * n + 2, 2 * n : 3 * n] = p_vec.imag
     jac[4 * n + 2, 3 * n : 4 * n] = -p_vec.real
-    jac[4 * n + 2, 4 * n] = float(np.imag(state.v.conj() @ ((-1j * q) @ state.u)))
-    jac[4 * n + 2, 4 * n + 1] = float(np.imag(state.v.conj() @ ((-q) @ state.u)))
-    return jac
+    jac[4 * n + 2, 4 * n] = float(np.imag(state.v.conj() @ ((1j * p2) @ state.u)))
+    jac[4 * n + 2, 4 * n + 1] = float(np.imag(state.v.conj() @ (p2 @ state.u)))
+    return r, jac
 
 
 @dataclass(frozen=True)
@@ -235,14 +214,14 @@ class GaussNewtonResult:
     residual_norms: tuple
 
 
-def gauss_newton(system, pert, start, gn_tol=None, max_iter=50, damped=False):
+def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
     """Solve the extremality system from a CorrectorState start.
 
-    Full-step Gauss-Newton through a dense least-squares solve; optional
-    backtracking damping halves a step while it would increase the residual.
-    Stops when ||r|| <= gn_tol * (1 + scale) with scale = max ||A_i||_2
-    (gn_tol defaults to 1e-10), when the step collapses below 1e-14, after
-    max_iter iterations, or on three consecutive residual increases.
+    Full-step Gauss-Newton through a dense least-squares solve, with one
+    `jacobian` linearization per iteration.  Stops when ||r|| <= gn_tol *
+    (1 + scale) with scale = max ||A_i||_2 (gn_tol defaults to 1e-10), when
+    the step collapses below 1e-14, after max_iter iterations, or on three
+    consecutive residual increases.
     """
     state = CorrectorState(
         u=start.u.astype(complex).copy(),
@@ -259,7 +238,7 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50, damped=False):
     converged = False
     iterations = 0
     for iterations in range(max_iter + 1):
-        r = residual(system, pert, state)
+        r, jac = jacobian(system, pert, state)
         rn = float(np.linalg.norm(r))
         norms.append(rn)
         if rn <= threshold:
@@ -276,20 +255,10 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50, damped=False):
         if iterations == max_iter:
             break
         try:
-            step = numerics.least_squares_real(jacobian(system, pert, state), r)
+            step = numerics.least_squares_real(jac, r)
         except numerics.RankDeficientError:
             status = "rank-deficient"
             break
-        if damped:
-            alpha = 1.0
-            for _ in range(25):
-                trial = CorrectorState(state.u, state.v, state.omega,
-                                       state.sigma, state.anchor)
-                trial.apply_step(alpha * step)
-                if np.linalg.norm(residual(system, pert, trial)) < rn:
-                    break
-                alpha *= 0.5
-            step = alpha * step
         state.apply_step(step)
         if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(state.pack())):
             r = residual(system, pert, state)
@@ -341,7 +310,7 @@ class CorrectionResult:
         return out
 
 
-def correct(system, pert, prediction, gn_tol=None, max_iter=50, damped=False):
+def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     """Correct a prediction: one Gauss-Newton run per predicted frequency.
 
     Start vectors are the smallest singular vectors of the doubled matrix at
@@ -365,7 +334,7 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50, damped=False):
         state0 = CorrectorState(u=x0[:n], v=x0[n:], omega=float(omega0),
                                 sigma=sigma0, anchor=x0.copy())
         run = gauss_newton(system, pert, state0, gn_tol=gn_tol,
-                           max_iter=max_iter, damped=damped)
+                           max_iter=max_iter)
         outcomes.append(StartOutcome(
             converged=run.converged,
             sigma=run.state.sigma,
@@ -379,7 +348,7 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50, damped=False):
     if not winners:
         raise AllStartsFailedError(
             "no Gauss-Newton start converged; retry with a finer prediction "
-            "(smaller tol or larger N) or enable damping"
+            "(smaller tol or larger N)"
         )
     best = max(winners, key=lambda s: s.sigma)
     warnings = []

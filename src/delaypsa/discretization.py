@@ -28,7 +28,6 @@ __all__ = [
     "lagrange_values",
     "assemble",
     "rational_exp_nodes",
-    "rational_exp",
     "char_matrix_approx",
     "level_approx",
     "transfer_function",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-class SingularResolventError(Exception):
+class SingularResolventError(numerics.DelayPsaError):
     """The interpolation resolvent (lam I - D11) is singular at this lam."""
 
 
@@ -197,20 +196,6 @@ def rational_exp_nodes(disc, lam):
         raise SingularResolventError(
             f"lam={lam} is a pole of the rational exponential approximation"
         ) from exc
-
-
-def rational_exp(disc, tau, lam):
-    """Rational approximation p_N(-tau; lam) of exp(-lam*tau), 0 <= tau <= span.
-
-    p_N is the degree-N polynomial (in the mesh variable) interpolating the
-    exponential's collocation conditions; p_N(0; lam) = 1 for every lam and
-    p_N -> 0 as Re lam -> +inf like a proper rational function of lam.
-    """
-    if tau == 0.0:
-        return 1.0 + 0.0j
-    lv = lagrange_values(disc.mesh, -tau)
-    nodes = rational_exp_nodes(disc, lam)
-    return complex(lv[-1] + lv[:-1] @ nodes)
 
 
 def char_matrix_approx(disc, lam):

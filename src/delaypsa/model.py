@@ -10,7 +10,8 @@ of complex lam where the level function
 
 exceeds 1/epsilon, with F the characteristic matrix.  f is evaluated
 through the smallest singular value, never by forming an inverse, and is
-+inf exactly at characteristic roots.
++inf exactly at characteristic roots.  `char_matrix` and `eval_weight` are
+the only places that write F, w and their derivatives.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ __all__ = [
     "PerturbationSpec",
     "check_pair",
     "char_matrix",
-    "char_matrix_slope",
     "eval_weight",
-    "weight_slope",
     "eval_level",
     "shift_system",
 ]
@@ -118,46 +117,35 @@ def check_pair(system, pert):
         )
 
 
-def char_matrix(system, lam):
-    """Characteristic matrix F(lam) = lam*I - sum_i A_i exp(-lam*tau_i)."""
+def char_matrix(system, lam, k=0):
+    """k-th lam-derivative of the characteristic matrix at a scalar lam.
+
+    k = 0 gives F(lam) = lam*I - sum_i A_i exp(-lam*tau_i), k = 1 gives
+    I + sum_i tau_i A_i exp(-lam*tau_i), and k >= 2 gives
+    -sum_i (-tau_i)^k A_i exp(-lam*tau_i).
+    """
     lam = complex(lam)
-    f = lam * np.eye(system.n, dtype=complex)
+    if k == 0:
+        f = lam * np.eye(system.n, dtype=complex)
+    elif k == 1:
+        f = np.eye(system.n, dtype=complex)
+    else:
+        f = np.zeros((system.n, system.n), dtype=complex)
     for tau, a in zip(system.delays, system.matrices):
-        f -= a * np.exp(-lam * tau)
+        f -= ((-tau) ** k * a) * np.exp(-lam * tau)
     return f
 
 
-def char_matrix_slope(system, lam):
-    """d/dlam of the characteristic matrix: I + sum_i tau_i A_i exp(-lam*tau_i)."""
-    lam = complex(lam)
-    d = np.eye(system.n, dtype=complex)
-    for tau, a in zip(system.delays, system.matrices):
-        if tau:
-            d += tau * a * np.exp(-lam * tau)
-    return d
+def eval_weight(pert, system, sigma, k=0):
+    """k-th derivative of w(sigma) = sum over finite w_i of exp(-sigma*tau_i)/w_i.
 
-
-def eval_weight(pert, system, sigma):
-    """Weight w(sigma) = sum over finite w_i of exp(-sigma*tau_i) / w_i.
-
-    Strictly positive and strictly decreasing in sigma whenever some
-    delayed matrix has a finite weight.
+    w is strictly positive and strictly decreasing in sigma whenever some
+    delayed matrix has a finite weight; its slope (k = 1) is then < 0.
     """
-    check_pair(system, pert)
     total = 0.0
-    for tau, w in zip(system.delays, pert.weights):
+    for tau, w in zip(system.delays, pert.weights, strict=True):
         if math.isfinite(w):
-            total += math.exp(-sigma * tau) / w
-    return total
-
-
-def weight_slope(pert, system, sigma):
-    """dw/dsigma = -sum over finite w_i of tau_i exp(-sigma*tau_i) / w_i (<= 0)."""
-    check_pair(system, pert)
-    total = 0.0
-    for tau, w in zip(system.delays, pert.weights):
-        if math.isfinite(w) and tau:
-            total -= tau * math.exp(-sigma * tau) / w
+            total += (-tau) ** k * math.exp(-sigma * tau) / w
     return total
 
 
@@ -183,14 +171,13 @@ def shift_system(system, pert, alpha):
     so the shifted level function satisfies f_hat(mu) = f(mu + alpha)
     exactly and pseudospectra translate horizontally by alpha.
     """
-    check_pair(system, pert)
     alpha = float(alpha)
     mats = [system.matrices[0] - alpha * np.eye(system.n)]
     for tau, a in zip(system.delays[1:], system.matrices[1:]):
         mats.append(a * math.exp(-alpha * tau))
     weights = tuple(
         w if math.isinf(w) else w * math.exp(alpha * tau)
-        for tau, w in zip(system.delays, pert.weights)
+        for tau, w in zip(system.delays, pert.weights, strict=True)
     )
     return (
         TimeDelaySystem(system.delays, tuple(mats)),

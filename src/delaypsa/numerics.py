@@ -4,6 +4,8 @@ Thin wrappers around LAPACK via numpy.linalg that normalize error handling
 for the rest of the package: singular solves, rank-deficient least squares
 and non-converged eigensolves surface as typed exceptions instead of
 numpy's generic LinAlgError.  Everything is dense and double precision.
+`DelayPsaError` is the base of the package's own exception types; it
+lives here because this module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DelayPsaError",
     "NumericsError",
     "NoConvergenceError",
     "SingularMatrixError",
@@ -27,7 +30,11 @@ __all__ = [
 ]
 
 
-class NumericsError(Exception):
+class DelayPsaError(Exception):
+    """Base class of the package's own exceptions (bad input raises ValueError)."""
+
+
+class NumericsError(DelayPsaError):
     """Base class for kernel failures."""
 
 

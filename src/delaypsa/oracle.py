@@ -43,11 +43,11 @@ _STRIDES = (8, 2)  # lattices contours evaluates before the undecided nodes
 _MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||
 
 
-class RegionTooSmallError(Exception):
+class RegionTooSmallError(numerics.DelayPsaError):
     """The level set reaches the right edge of the search region."""
 
 
-class EmptyPseudospectrumError(Exception):
+class EmptyPseudospectrumError(numerics.DelayPsaError):
     """No grid node reached the level; region or resolution is off."""
 
 

@@ -25,7 +25,7 @@ class PsaResult:
 
 
 def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None,
-                max_iter_bisect=100, max_iter_gn=50, damped=False):
+                max_iter_bisect=100, max_iter_gn=50):
     """Compute the epsilon-pseudospectral abscissa of a retarded system.
 
     Runs the Hamiltonian bisection predictor at mesh order N to bracket the
@@ -37,7 +37,7 @@ def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None,
     prediction = predict(system, pert, N=N, tol=tol,
                          max_iter=max_iter_bisect)
     correction = correct(system, pert, prediction, gn_tol=gn_tol,
-                         max_iter=max_iter_gn, damped=damped)
+                         max_iter=max_iter_gn)
     return PsaResult(
         alpha_eps=correction.alpha_eps,
         omega_eps=correction.omega_eps,

@@ -30,7 +30,7 @@ from .discretization import (
     level_approx,
     spectral_abscissa_approx,
 )
-from .model import char_matrix, char_matrix_slope, eval_weight, shift_system
+from .model import char_matrix, check_pair, eval_weight, shift_system
 
 __all__ = [
     "PredictionError",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class PredictionError(Exception):
+class PredictionError(numerics.DelayPsaError):
     """Bisection failed (iteration budget, or no boundary frequencies found)."""
 
 
@@ -63,8 +63,9 @@ class PredictionResult:
 
     alpha_pred and the bracket are reported in the original (unshifted)
     spectral coordinates; shift_used records the recentering applied before
-    discretization. Frequencies are folded to omega >= 0, sorted, and
-    deduplicated within 1e-8 * (1 + omega).
+    discretization and roots the characteristic roots found there (those of
+    `spectral_abscissa_exact`; empty from `bisect` alone). Frequencies are
+    folded to omega >= 0, sorted, and deduplicated within 1e-8 * (1 + omega).
     """
 
     alpha_pred: float
@@ -73,6 +74,7 @@ class PredictionResult:
     bracket: tuple
     shift_used: float
     warnings: tuple = ()
+    roots: tuple = ()
 
 
 def _newton_root(system, lam0, tol, max_iter):
@@ -93,7 +95,7 @@ def _newton_root(system, lam0, tol, max_iter):
             return lam, True
         jac = np.zeros((n + 1, n + 1), dtype=complex)
         jac[:n, :n] = f
-        jac[:n, n] = char_matrix_slope(system, lam) @ v
+        jac[:n, n] = char_matrix(system, lam, 1) @ v
         jac[n, :n] = c.conj()
         rhs = np.concatenate([-res_top, [1.0 - c.conj() @ v]])
         try:
@@ -261,12 +263,14 @@ def predict(system, pert, N=15, tol=1e-3, max_iter=100, delta_init=None,
     discretization is most accurate where the level set is resolved), run
     the Hamiltonian bisection there, and report in original coordinates.
     """
+    check_pair(system, pert)
     disc0 = assemble(system, N)
     sa = spectral_abscissa_exact(system, disc0)
     shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
     disc = assemble(shifted_sys, N)
     result = bisect(disc, shifted_pert, tol, max_iter=max_iter,
                     delta_init=delta_init, tol_im=tol_im, shift=sa.value)
+    result = replace(result, roots=sa.roots)
     if sa.fallback:
         result = replace(result, warnings=result.warnings + (
             "spectral abscissa: Newton correction failed for every start; "

@@ -213,7 +213,7 @@ def test_criterion_07_jacobian_validation():
             sigma=float(rng.uniform(-0.8, 0.8)),
             anchor=anchor,
         )
-        jac = jacobian(system, pert, state)
+        jac = jacobian(system, pert, state)[1]
         h = 1e-6
         fd = np.zeros_like(jac)
         for k in range(4 * n + 2):

@@ -237,6 +237,45 @@ def test_contour_consistent_with_compute(tmp_path, capsys):
     assert abs(rightmost - alpha) <= 1.0 / 200.0
 
 
+def test_contour_computes_spectral_abscissa_once(tmp_path, capsys,
+                                                 monkeypatch):
+    from delaypsa import predictor
+
+    calls = []
+    real = predictor.spectral_abscissa_exact
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "spectral_abscissa_exact", counting)
+    # also count a call the command might make on its own, outside predict
+    monkeypatch.setattr(cli, "spectral_abscissa_exact", counting, raising=False)
+    path = write_file(tmp_path, ONE_DELAY)
+    code, _, _ = run(
+        capsys, "contour", path,
+        "--re-min", "-0.5", "--re-max", "0.1",
+        "--im-min", "0.0", "--im-max", "2.0",
+        "--n-re", "21", "--n-im", "21",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_contour_header_when_correction_fails(tmp_path, capsys):
+    path = write_file(tmp_path, ONE_DELAY)
+    code, out, _ = run(
+        capsys, "contour", path, "--gn-tol", "1e-30",
+        "--re-min", "-0.5", "--re-max", "0.1",
+        "--im-min", "0.0", "--im-max", "2.0",
+        "--n-re", "21", "--n-im", "21",
+    )
+    assert code == 0
+    header = [l for l in out.splitlines() if l.startswith("#")]
+    for key in ("# spectral_abscissa=", "# root=", "# alpha_eps_error="):
+        assert any(l.startswith(key) for l in header), key
+
+
 # --- oracle -------------------------------------------------------------------
 
 
@@ -276,3 +315,29 @@ def test_oracle_region_too_small_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "re-max" in err or "right edge" in err
+
+
+def test_oracle_compare_all_starts_failed_exit_code(tmp_path, capsys):
+    path = write_file(tmp_path, ONE_DELAY)
+    code, _, err = run(
+        capsys, "oracle", path, "--compare", "--gn-tol", "1e-30",
+        "--re-min", "-0.5", "--re-max", "0.2",
+        "--im-min", "0", "--im-max", "2",
+        "--n-re", "41", "--n-im", "41",
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_solver_failure_exits_one_without_traceback(tmp_path, capsys,
+                                                    monkeypatch):
+    from delaypsa import numerics
+
+    def fail(*args, **kwargs):
+        raise numerics.NoConvergenceError("QR iteration did not converge")
+
+    monkeypatch.setattr(numerics, "eig_real", fail)
+    path = write_file(tmp_path, ONE_DELAY)
+    code, _, err = run(capsys, "compute", path)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -11,7 +11,6 @@ from delaypsa.discretization import (
     chebyshev_mesh,
     differentiation_matrix,
     lagrange_values,
-    rational_exp,
     spectral_abscissa_approx,
     transfer_function,
 )
@@ -163,40 +162,45 @@ def test_assemble_delay_free_n0():
 # --- rational exponential approximation ------------------------------------
 
 
-def test_rational_exp_at_zero_is_one(one_delay):
-    disc = assemble(one_delay, 7)
-    assert abs(rational_exp(disc, 1.0, 0.0) - 1.0) < 1e-13
-    assert abs(rational_exp(disc, 0.37, 0.0) - 1.0) < 1e-13
+def rational_exp(N, tau, lam):
+    """p_N(-tau; lam) on the mesh of [-1, 0], read off char_matrix_approx.
+
+    The scalar plant x'(t) = x(t - tau) (A_0 = 0, A_1 = 1) has
+    F_N(lam) = lam - p_N(-tau; lam); for tau < 1 a third, zero matrix at
+    delay 1 keeps the mesh on [-1, 0].
+    """
+    delays = (0.0, tau) if tau == 1.0 else (0.0, tau, 1.0)
+    mats = (np.zeros((1, 1)), np.eye(1)) + (np.zeros((1, 1)),) * (len(delays) - 2)
+    disc = assemble(TimeDelaySystem(delays, mats), N)
+    return lam - char_matrix_approx(disc, lam)[0, 0]
+
+
+def test_rational_exp_at_zero_is_one():
+    assert abs(rational_exp(7, 1.0, 0.0) - 1.0) < 1e-13
+    assert abs(rational_exp(7, 0.37, 0.0) - 1.0) < 1e-13
 
 
 def test_rational_exp_n1_closed_form():
-    sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
-    disc = assemble(sys1, 1)
     for lam in (0.5, 1.0, -0.3 + 0.8j):
-        assert abs(rational_exp(disc, 1.0, lam) - 1.0 / (1.0 + lam)) < 1e-13
+        assert abs(rational_exp(1, 1.0, lam) - 1.0 / (1.0 + lam)) < 1e-13
 
 
-def test_rational_exp_spectral_accuracy(one_delay):
-    disc = assemble(one_delay, 15)
-    assert abs(rational_exp(disc, 1.0, 0.3) - math.exp(-0.3)) < 1e-12
+def test_rational_exp_spectral_accuracy():
+    assert abs(rational_exp(15, 1.0, 0.3) - math.exp(-0.3)) < 1e-12
 
 
-def test_rational_exp_converges_fast(one_delay):
+def test_rational_exp_converges_fast():
     lam = 0.4 + 1.1j
-    errs = []
-    for N in (5, 10):
-        disc = assemble(one_delay, N)
-        errs.append(abs(rational_exp(disc, 1.0, lam) - np.exp(-lam)))
+    errs = [abs(rational_exp(N, 1.0, lam) - np.exp(-lam)) for N in (5, 10)]
     assert errs[1] < errs[0] / 10.0
 
 
 def test_rational_exp_singular_resolvent():
     # lam at an eigenvalue of the differentiation block is a pole
     sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
-    disc = assemble(sys1, 1)
-    pole = np.linalg.eigvals(disc.D[:1, :1])[0]
+    pole = np.linalg.eigvals(assemble(sys1, 1).D[:1, :1])[0]
     with pytest.raises(SingularResolventError):
-        rational_exp(disc, 1.0, complex(pole))
+        rational_exp(1, 1.0, complex(pole))
 
 
 # --- approximate characteristic matrix -------------------------------------

@@ -14,7 +14,7 @@ from delaypsa import (
 )
 from delaypsa import numerics
 from delaypsa.discretization import assemble, spectral_abscissa_approx
-from delaypsa.model import check_pair
+from delaypsa.model import char_matrix, check_pair
 from delaypsa.oracle import (
     ContourSet,
     EmptyPseudospectrumError,
@@ -537,3 +537,24 @@ def test_boundary_field_is_sound(recipe):
         placed += int(np.isnan(g).sum())
         mixed_cells += int(mixed.sum())
     assert placed > 0 and mixed_cells > 0
+
+
+def _wide_plant(rng, n, m):
+    mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
+@pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
+                                    _stiff_plant, _wide_plant])
+def test_smallest_singular_matches_char_matrix(recipe):
+    # the batched stack builder is the one other place that writes F; it
+    # must agree with char_matrix bit for bit
+    for seed in range(25):
+        rng = np.random.default_rng([13, seed])
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        system = recipe(rng, n, m)
+        pts = rng.uniform(-3.0, 1.0, 12) + 1j * rng.uniform(-5.0, 5.0, 12)
+        expect = [numerics.svd_complex(char_matrix(system, p)).values[-1]
+                  for p in pts]
+        assert np.array_equal(_smallest_singular(system, pts), expect)

@@ -1,8 +1,46 @@
 import numpy as np
+import pytest
 
-from delaypsa import PerturbationSpec, compute_psa, correct, predict
+from delaypsa import (
+    GridRegion,
+    PerturbationSpec,
+    PredictionResult,
+    compute_psa,
+    contours,
+    correct,
+    eval_level,
+    eval_weight,
+    grid_level,
+    grid_psa,
+    predict,
+    shift_system,
+)
 
 from conftest import delay_free
+
+_REGION = GridRegion(-1.0, 0.5, 0.0, 2.0, 5, 5)
+_PREDICTION = PredictionResult(alpha_pred=-0.2, frequencies=np.array([1.3]),
+                               iterations=0, bracket=(-0.2, -0.1),
+                               shift_used=-0.3)
+ENTRY_POINTS = {
+    "compute_psa": lambda s, p: compute_psa(s, p),
+    "predict": lambda s, p: predict(s, p),
+    "correct": lambda s, p: correct(s, p, _PREDICTION),
+    "grid_level": lambda s, p: grid_level(s, p, _REGION),
+    "grid_psa": lambda s, p: grid_psa(s, p, _REGION),
+    "contours": lambda s, p: contours(s, p, _REGION),
+    "eval_level": lambda s, p: eval_level(s, p, 0.1 + 1.0j),
+    "eval_weight": lambda s, p: eval_weight(p, s, 0.1),
+    "shift_system": lambda s, p: shift_system(s, p, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_mismatched_pair_raises_value_error(name, one_delay):
+    # two matrices, one weight: the entry points validate the pair once and
+    # the model helpers reject it through their strict loops
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[name](one_delay, PerturbationSpec((1.0,), 0.1))
 
 
 def test_compute_composes_predict_and_correct(one_delay, one_delay_pert):
