@@ -8,12 +8,13 @@ nonlinear eigenvalue system: the doubled matrix
 (with F_sigma the characteristic matrix of the sigma-shifted system and
 xi = 1/(eps * w(sigma)) the target resolvent singular value) must be
 singular at lam = j*omega, and the active singular value curve must be at
-an extremum in omega.  Packing a null vector [u; v], omega and sigma into
-one real unknown vector gives 4n+2 degrees of freedom constrained by 4n+3
-real equations (null vector, anchor normalization, extremality), solved by
-Gauss-Newton with the analytic Jacobian.  Starts come straight from the
-predictor's frequency list.  F_sigma, F_sigma' and F_sigma'' come from
-`model.char_matrix`; each Gauss-Newton step makes one `jacobian` call.
+an extremum in omega.  The unknowns are one complex null vector x = [u; v],
+omega and sigma; as the real vector (Re x, Im x, omega, sigma) they give
+4n+2 degrees of freedom constrained by 4n+3 real equations (null vector,
+anchor normalization, extremality), solved by Gauss-Newton with the
+analytic Jacobian.  Starts come straight from the predictor's frequency
+list.  F_sigma, F_sigma' and F_sigma'' come from `model.char_matrix`; each
+Gauss-Newton step makes one `jacobian` call.
 """
 
 from __future__ import annotations
@@ -93,32 +94,26 @@ def start_vector(nleig_matrix):
 
 @dataclass
 class CorrectorState:
-    """Unknowns of the extremality system plus the fixed anchor vector."""
+    """Unknowns x = [u; v], omega, sigma of the extremality system, plus the anchor."""
 
-    u: np.ndarray
-    v: np.ndarray
+    x: np.ndarray
     omega: float
     sigma: float
     anchor: np.ndarray
 
     def pack(self):
-        return np.concatenate([
-            self.u.real, self.u.imag, self.v.real, self.v.imag,
-            [self.omega, self.sigma],
-        ])
+        return np.concatenate([self.x.real, self.x.imag, [self.omega, self.sigma]])
 
     def apply_step(self, step):
-        n = len(self.u)
-        self.u = self.u + step[0:n] + 1j * step[n : 2 * n]
-        self.v = self.v + step[2 * n : 3 * n] + 1j * step[3 * n : 4 * n]
-        self.omega = float(self.omega + step[4 * n])
-        self.sigma = float(self.sigma + step[4 * n + 1])
+        m = len(self.x)
+        self.x = self.x + step[:m] + 1j * step[m : 2 * m]
+        self.omega = float(self.omega + step[2 * m])
+        self.sigma = float(self.sigma + step[2 * m + 1])
 
     def fold(self):
         """Conjugate-fold to omega >= 0 (the mirror state solves the same system)."""
         if self.omega < 0.0:
-            self.u = self.u.conj()
-            self.v = self.v.conj()
+            self.x = self.x.conj()
             self.anchor = self.anchor.conj()
             self.omega = -self.omega
 
@@ -128,80 +123,56 @@ def residual(system, pert, state):
     return jacobian(system, pert, state)[0]
 
 
+def _put_real_form(jac, row, mat):
+    """Write z -> mat z as [[Re mat, -Im mat], [Im mat, Re mat]] at jac[row, 0]."""
+    p, q = mat.shape
+    jac[row : row + p, :q] = mat.real
+    jac[row : row + p, q : 2 * q] = -mat.imag
+    jac[row + p : row + 2 * p, :q] = mat.imag
+    jac[row + p : row + 2 * p, q : 2 * q] = mat.real
+
+
 def jacobian(system, pert, state):
     """Residual r and its analytic Jacobian J, from one shift and one H.
 
-    r has rows Re/Im of H(j*omega) [u; v] (4n), Re/Im of anchor* [u; v] - 1
-    (2), and the extremality condition Im{ v* P u } (1), P = F_sigma'(j*omega).
-    J, shape (4n+3, 4n+2), is in (Re u, Im u, Re v, Im v, omega, sigma).  Its
-    omega column uses dH/domega = j*diag(P, P*) and its sigma column chains
-    through the shifted matrices (dA_{sigma,i}/dsigma = -tau_i A_{sigma,i},
-    dA_{sigma,0}/dsigma = -I) and through xi(sigma).
+    r has rows Re/Im of H(j*omega) x (4n), Re/Im of anchor* x - 1 (2), and
+    the extremality condition Im{ v* P u } (1), x = [u; v], P = F_sigma'(j*omega).
+    J, shape (4n+3, 4n+2), is in (Re x, Im x, omega, sigma); its x columns are
+    the real forms of H and anchor*.  With pu = P u and qv = P* v, the omega
+    column is dH/domega x = j [pu; qv] and the sigma column, which chains
+    through the shifted matrices and through xi(sigma), is
+    dH/dsigma x = [pu + 2 xi^-3 xi' v; -qv].
     """
     n = system.n
+    x, u, v = state.x, state.x[:n], state.x[n:]
     shifted, _ = shift_system(system, pert, state.sigma)
     xi, dxi = sv_threshold(pert, system, state.sigma)
-    h = build_nleig(shifted, 1j * state.omega, xi)
-    x = np.concatenate([state.u, state.v])
+    lam = 1j * state.omega
+    h = build_nleig(shifted, lam, xi)
+    p = char_matrix(shifted, lam, 1)
+    pu = p @ u
+    qv = p.conj().T @ v
     hx = h @ x
     norm_res = state.anchor.conj() @ x - 1.0
-    p = char_matrix(shifted, 1j * state.omega, 1)
-    p2 = char_matrix(shifted, 1j * state.omega, 2)  # dP/dsigma; dP/domega = j*p2
-    g = float(np.imag(state.v.conj() @ (p @ state.u)))
     r = np.concatenate([
-        hx.real, hx.imag, [norm_res.real, norm_res.imag], [g],
+        hx.real, hx.imag, [norm_res.real, norm_res.imag],
+        [np.imag(v.conj() @ pu)],
     ])
 
-    dh_domega = np.zeros((2 * n, 2 * n), dtype=complex)
-    dh_domega[:n, :n] = 1j * p
-    dh_domega[n:, n:] = 1j * p.conj().T
-
-    # d(xi^-2)/dsigma = -2 xi^-3 dxi
-    dxi2inv = -2.0 * xi ** -3 * dxi
-    dh_dsigma = np.zeros((2 * n, 2 * n), dtype=complex)
-    dh_dsigma[:n, :n] = p
-    dh_dsigma[:n, n:] = -dxi2inv * np.eye(n)
-    dh_dsigma[n:, n:] = -p.conj().T
-
     jac = np.zeros((4 * n + 3, 4 * n + 2))
-    hu = h[:, :n]
-    hv = h[:, n:]
-    jac[: 2 * n, 0:n] = hu.real
-    jac[2 * n : 4 * n, 0:n] = hu.imag
-    jac[: 2 * n, n : 2 * n] = -hu.imag
-    jac[2 * n : 4 * n, n : 2 * n] = hu.real
-    jac[: 2 * n, 2 * n : 3 * n] = hv.real
-    jac[2 * n : 4 * n, 2 * n : 3 * n] = hv.imag
-    jac[: 2 * n, 3 * n : 4 * n] = -hv.imag
-    jac[2 * n : 4 * n, 3 * n : 4 * n] = hv.real
-
-    hw = dh_domega @ x
-    hs = dh_dsigma @ x
-    jac[: 2 * n, 4 * n] = hw.real
-    jac[2 * n : 4 * n, 4 * n] = hw.imag
-    jac[: 2 * n, 4 * n + 1] = hs.real
-    jac[2 * n : 4 * n, 4 * n + 1] = hs.imag
-
-    cu = state.anchor[:n]
-    cv = state.anchor[n:]
-    jac[4 * n, 0:n] = cu.real
-    jac[4 * n, n : 2 * n] = cu.imag
-    jac[4 * n, 2 * n : 3 * n] = cv.real
-    jac[4 * n, 3 * n : 4 * n] = cv.imag
-    jac[4 * n + 1, 0:n] = -cu.imag
-    jac[4 * n + 1, n : 2 * n] = cu.real
-    jac[4 * n + 1, 2 * n : 3 * n] = -cv.imag
-    jac[4 * n + 1, 3 * n : 4 * n] = cv.real
-
-    # g = Im(v* P u) = Im(q_vec* u) with q_vec = P* v
-    q_vec = p.conj().T @ state.v
-    p_vec = p @ state.u
-    jac[4 * n + 2, 0:n] = -q_vec.imag
-    jac[4 * n + 2, n : 2 * n] = q_vec.real
-    jac[4 * n + 2, 2 * n : 3 * n] = p_vec.imag
-    jac[4 * n + 2, 3 * n : 4 * n] = -p_vec.real
-    jac[4 * n + 2, 4 * n] = float(np.imag(state.v.conj() @ ((1j * p2) @ state.u)))
-    jac[4 * n + 2, 4 * n + 1] = float(np.imag(state.v.conj() @ (p2 @ state.u)))
+    _put_real_form(jac, 0, h)
+    _put_real_form(jac, 4 * n, state.anchor.conj()[None, :])
+    dhx = np.stack([
+        1j * np.concatenate([pu, qv]),
+        np.concatenate([pu + 2.0 * xi ** -3 * dxi * v, -qv]),
+    ], axis=1)
+    jac[: 2 * n, 4 * n :] = dhx.real
+    jac[2 * n : 4 * n, 4 * n :] = dhx.imag
+    # g = Im(v* P u) = Im(qv* u) + Im(v* pu); dP/domega = j F'', dP/dsigma = F''
+    s = v.conj() @ (char_matrix(shifted, lam, 2) @ u)
+    jac[4 * n + 2] = np.concatenate([
+        -qv.imag, pu.imag, qv.real, -pu.real, [s.real, s.imag],
+    ])
     return r, jac
 
 
@@ -224,11 +195,10 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
     consecutive residual increases.
     """
     state = CorrectorState(
-        u=start.u.astype(complex).copy(),
-        v=start.v.astype(complex).copy(),
+        x=start.x.astype(complex),
         omega=float(start.omega),
         sigma=float(start.sigma),
-        anchor=start.anchor.astype(complex).copy(),
+        anchor=start.anchor.astype(complex),
     )
     scale = max(np.linalg.norm(a, 2) for a in system.matrices)
     threshold = (1e-10 if gn_tol is None else float(gn_tol)) * (1.0 + scale)
@@ -330,9 +300,7 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     outcomes = []
     for omega0 in freqs:
         x0 = start_vector(build_nleig(shifted0, 1j * omega0, xi0))
-        n = system.n
-        state0 = CorrectorState(u=x0[:n], v=x0[n:], omega=float(omega0),
-                                sigma=sigma0, anchor=x0.copy())
+        state0 = CorrectorState(x=x0, omega=float(omega0), sigma=sigma0, anchor=x0)
         run = gauss_newton(system, pert, state0, gn_tol=gn_tol,
                            max_iter=max_iter)
         outcomes.append(StartOutcome(

@@ -251,5 +251,5 @@ def transfer_function(disc, lam):
 
 def spectral_abscissa_approx(disc):
     """Largest real part over the eigenvalues of the collocation matrix A_N."""
-    vals = numerics.eig_real(disc.state_matrix).eigenvalues
+    vals = numerics.eig_real(disc.state_matrix)
     return float(vals.real.max())

@@ -20,7 +20,6 @@ __all__ = [
     "NoConvergenceError",
     "SingularMatrixError",
     "RankDeficientError",
-    "EigenResult",
     "SvdResult",
     "eig_real",
     "svd_complex",
@@ -56,35 +55,25 @@ class RankDeficientError(NumericsError):
 
 
 @dataclass(frozen=True)
-class EigenResult:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SvdResult:
     values: np.ndarray  # descending, nonnegative
     left: np.ndarray | None = None
     right_h: np.ndarray | None = None
 
 
-def eig_real(matrix, vectors=False):
-    """Eigendecomposition of a real square matrix.
+def eig_real(matrix):
+    """Eigenvalues of a real square matrix.
 
-    Returns an EigenResult; eigenvalues come back complex (conjugate pairs
-    for real input).  Raises NoConvergenceError if the QR iteration fails.
+    Returns the eigenvalue array, complex (conjugate pairs for real input).
+    Raises NoConvergenceError if the QR iteration fails.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_real expects a square 2-d array")
     try:
-        if vectors:
-            vals, vecs = np.linalg.eig(a)
-            return EigenResult(vals, vecs)
-        vals = np.linalg.eigvals(a)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return EigenResult(vals)
 
 
 def svd_complex(matrix, vectors=False):

@@ -192,7 +192,7 @@ def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
     then sharpens the best candidate with golden-section search.
     """
     check_pair(disc.system, pert)
-    eig_im = np.abs(numerics.eig_real(disc.state_matrix).eigenvalues.imag)
+    eig_im = np.abs(numerics.eig_real(disc.state_matrix).imag)
     seeds = eig_im[eig_im <= omega_max]
     base = np.linspace(0.0, omega_max, n_omega)
     candidates = np.unique(np.concatenate([base, seeds]))

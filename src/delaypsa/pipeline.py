@@ -24,20 +24,18 @@ class PsaResult:
         return self.prediction.warnings + self.correction.warnings
 
 
-def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None,
-                max_iter_bisect=100, max_iter_gn=50):
+def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None, max_iter_bisect=100):
     """Compute the epsilon-pseudospectral abscissa of a retarded system.
 
     Runs the Hamiltonian bisection predictor at mesh order N to bracket the
     abscissa within tol, then Gauss-Newton corrects every predicted
-    boundary frequency on the exact extremality equations.  Returns a
-    PsaResult; raises corrector.AllStartsFailedError when no correction
-    start converges.
+    boundary frequency on the exact extremality equations (at most 50
+    iterations per frequency).  Returns a PsaResult; raises
+    corrector.AllStartsFailedError when no correction start converges.
     """
     prediction = predict(system, pert, N=N, tol=tol,
                          max_iter=max_iter_bisect)
-    correction = correct(system, pert, prediction, gn_tol=gn_tol,
-                         max_iter=max_iter_gn)
+    correction = correct(system, pert, prediction, gn_tol=gn_tol)
     return PsaResult(
         alpha_eps=correction.alpha_eps,
         omega_eps=correction.omega_eps,

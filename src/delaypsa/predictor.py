@@ -109,22 +109,20 @@ def _newton_root(system, lam0, tol, max_iter):
     return lam, False
 
 
-def spectral_abscissa_exact(system, disc, newton_tol=1e-12, max_starts=10,
-                            max_iter=40):
+def spectral_abscissa_exact(system, disc):
     """Spectral abscissa of the true characteristic matrix.
 
-    Newton-corrects the rightmost eigenvalues of the collocation matrix on
-    the exact root equations F(lam) v = 0, c* v = 1.  Falls back to the
+    Newton-corrects the 10 rightmost eigenvalues of the collocation matrix
+    on the exact root equations F(lam) v = 0, c* v = 1 (at most 40 steps
+    each, to a residual of 1e-12 * (1 + max ||A_i||_2)).  Falls back to the
     discretized abscissa (with the fallback flag set) if no start converges.
     """
-    vals = numerics.eig_real(disc.state_matrix).eigenvalues
-    order = np.argsort(-vals.real)
-    starts = vals[order][: min(max_starts, len(vals))]
+    vals = numerics.eig_real(disc.state_matrix)
+    starts = vals[np.argsort(-vals.real)][:10]
     scale = 1.0 + max(np.linalg.norm(a, 2) for a in system.matrices)
     roots = []
     for lam0 in starts:
-        lam, ok = _newton_root(system, lam0, tol=newton_tol * scale,
-                               max_iter=max_iter)
+        lam, ok = _newton_root(system, lam0, tol=1e-12 * scale, max_iter=40)
         if ok:
             if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
                 roots.append(lam)
@@ -143,16 +141,15 @@ def hamiltonian(disc, pert, sigma):
     return np.block([[shifted, coupling], [-coupling, -shifted.T]])
 
 
-def imaginary_axis_frequencies(ham, tol_im=None):
+def imaginary_axis_frequencies(ham):
     """Nonnegative frequencies of the (numerically) imaginary eigenvalues.
 
-    An eigenvalue lam counts as imaginary when |Re lam| <= tol_im * max(1, |lam|);
-    tol_im defaults to 1e-8 scaled by the row norm of the matrix.  Frequencies
-    are folded to omega >= 0, sorted, and merged within 1e-8 * (1 + omega).
+    An eigenvalue lam counts as imaginary when |Re lam| <= tol_im * max(1, |lam|)
+    with tol_im = 1e-8 * max(1, ||ham||_inf).  Frequencies are folded to
+    omega >= 0, sorted, and merged within 1e-8 * (1 + omega).
     """
-    if tol_im is None:
-        tol_im = 1e-8 * max(1.0, np.linalg.norm(ham, np.inf))
-    vals = numerics.eig_real(ham).eigenvalues
+    tol_im = 1e-8 * max(1.0, np.linalg.norm(ham, np.inf))
+    vals = numerics.eig_real(ham)
     mask = np.abs(vals.real) <= tol_im * np.maximum(1.0, np.abs(vals))
     omegas = np.sort(np.abs(vals[mask].imag))
     merged = []
@@ -183,19 +180,18 @@ def _inside_certificate(disc, pert, sigma, candidates):
     return None
 
 
-def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
-           shift=0.0):
+def bisect(disc, pert, tol, max_iter=100, shift=0.0):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
     Starts from sigma_lo = alpha(A_N) with the upper end at infinity; the
-    step doubles while no finite upper bound exists, then ordinary
-    bisection takes over.  A trial sigma is first tested at a few candidate
-    frequencies with `_inside_certificate` (one n x n singular value each);
-    only when none proves sigma inside does the imaginary-axis test of
-    `hamiltonian` decide.  The certificate implies that test's verdict, so
-    the sigma sequence is the same as with eigensolves alone.  Candidates
-    are the last certified frequency, then the midpoints of the last
-    eigensolve's crossings, initially the frequency of the rightmost
+    step, starting at tol, doubles while no finite upper bound exists, then
+    ordinary bisection takes over.  A trial sigma is first tested at a few
+    candidate frequencies with `_inside_certificate` (one n x n singular
+    value each); only when none proves sigma inside does the imaginary-axis
+    test of `hamiltonian` decide.  The certificate implies that test's
+    verdict, so the sigma sequence is the same as with eigensolves alone.
+    Candidates are the last certified frequency, then the midpoints of the
+    last eigensolve's crossings, initially the frequency of the rightmost
     eigenvalue of A_N.  The returned alpha_pred is the final lower end
     (inside the level set); frequencies are read off the test matrix there,
     reusing the eigensolve that set sigma_lo when there was one.  `shift`
@@ -203,13 +199,13 @@ def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    vals = numerics.eig_real(disc.state_matrix).eigenvalues
+    vals = numerics.eig_real(disc.state_matrix)
     rightmost = vals[np.argmax(vals.real)]
     sigma_lo = float(rightmost.real)
     candidates = [abs(rightmost.imag)]
     freqs_lo = None  # crossings of the eigensolve that set sigma_lo
     sigma_hi = math.inf
-    delta = tol if delta_init is None else float(delta_init)
+    delta = tol
     iterations = 0
     while sigma_hi - sigma_lo > tol:
         if iterations >= max_iter:
@@ -226,9 +222,7 @@ def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
             candidates.insert(0, candidates.pop(k))
             sigma_lo, freqs_lo = sigma_mid, None
         else:
-            freqs = imaginary_axis_frequencies(
-                hamiltonian(disc, pert, sigma_mid), tol_im
-            )
+            freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_mid))
             if freqs.size:
                 sigma_lo, freqs_lo = sigma_mid, freqs
                 # each inside interval of the line is [0, f1] or [f_i, f_i+1]
@@ -238,9 +232,7 @@ def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
                 sigma_hi = sigma_mid
         iterations += 1
     if freqs_lo is None:
-        freqs_lo = imaginary_axis_frequencies(
-            hamiltonian(disc, pert, sigma_lo), tol_im
-        )
+        freqs_lo = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
     if freqs_lo.size == 0:
         raise PredictionError(
             "no boundary frequencies at the final lower bound; "
@@ -255,8 +247,7 @@ def bisect(disc, pert, tol, max_iter=100, delta_init=None, tol_im=None,
     )
 
 
-def predict(system, pert, N=15, tol=1e-3, max_iter=100, delta_init=None,
-            tol_im=None):
+def predict(system, pert, N=15, tol=1e-3, max_iter=100):
     """Predict the pseudospectral abscissa at mesh order N.
 
     Recenter the system at its exact spectral abscissa (so the
@@ -268,8 +259,7 @@ def predict(system, pert, N=15, tol=1e-3, max_iter=100, delta_init=None,
     sa = spectral_abscissa_exact(system, disc0)
     shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
     disc = assemble(shifted_sys, N)
-    result = bisect(disc, shifted_pert, tol, max_iter=max_iter,
-                    delta_init=delta_init, tol_im=tol_im, shift=sa.value)
+    result = bisect(disc, shifted_pert, tol, max_iter=max_iter, shift=sa.value)
     result = replace(result, roots=sa.roots)
     if sa.fallback:
         result = replace(result, warnings=result.warnings + (

@@ -206,9 +206,10 @@ def test_criterion_07_jacobian_validation():
         n = system.n
         anchor = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
         anchor /= np.linalg.norm(anchor)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         state = CorrectorState(
-            u=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            v=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            x=np.concatenate([u, v]),
             omega=float(rng.uniform(0.1, 3.0)),
             sigma=float(rng.uniform(-0.8, 0.8)),
             anchor=anchor,
@@ -219,10 +220,10 @@ def test_criterion_07_jacobian_validation():
         for k in range(4 * n + 2):
             step = np.zeros(4 * n + 2)
             step[k] = h
-            plus = CorrectorState(state.u, state.v, state.omega, state.sigma,
+            plus = CorrectorState(state.x, state.omega, state.sigma,
                                   state.anchor)
             plus.apply_step(step)
-            minus = CorrectorState(state.u, state.v, state.omega, state.sigma,
+            minus = CorrectorState(state.x, state.omega, state.sigma,
                                    state.anchor)
             minus.apply_step(-step)
             fd[:, k] = (residual(system, pert, plus)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem, correct, eval_level, predict
+from delaypsa import (
+    PerturbationSpec,
+    TimeDelaySystem,
+    correct,
+    eval_level,
+    numerics,
+    predict,
+)
 from delaypsa.corrector import (
     AllStartsFailedError,
     CorrectorState,
@@ -27,8 +34,7 @@ def disk_state(a, eps):
     """Exact extremal state of the disk case: sigma = a + eps, omega = 0."""
     x = np.array([eps, 1.0], dtype=complex)
     x /= np.linalg.norm(x)
-    return CorrectorState(u=x[:1], v=x[1:], omega=0.0, sigma=a + eps,
-                          anchor=x.copy())
+    return CorrectorState(x=x, omega=0.0, sigma=a + eps, anchor=x.copy())
 
 
 # --- singular value threshold ------------------------------------------------
@@ -176,7 +182,7 @@ def test_residual_zero_at_disk_solution():
 
 def test_residual_length(one_delay, one_delay_pert):
     state = CorrectorState(
-        u=np.array([1.0 + 0j]), v=np.array([1.0 + 0j]), omega=1.0, sigma=0.0,
+        x=np.array([1.0 + 0j, 1.0 + 0j]), omega=1.0, sigma=0.0,
         anchor=np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     )
     assert residual(one_delay, one_delay_pert, state).shape == (4 * 1 + 3,)
@@ -204,7 +210,7 @@ def _random_state(system, rng):
     anchor = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     anchor /= np.linalg.norm(anchor)
     return CorrectorState(
-        u=u, v=v, omega=float(rng.uniform(0.2, 2.0)),
+        x=np.concatenate([u, v]), omega=float(rng.uniform(0.2, 2.0)),
         sigma=float(rng.uniform(-0.5, 0.5)), anchor=anchor,
     )
 
@@ -222,10 +228,10 @@ def test_jacobian_matches_finite_differences(random_system):
         for k in range(4 * n + 2):
             step = np.zeros(4 * n + 2)
             step[k] = h
-            plus = CorrectorState(state.u, state.v, state.omega, state.sigma,
+            plus = CorrectorState(state.x, state.omega, state.sigma,
                                   state.anchor)
             plus.apply_step(step)
-            minus = CorrectorState(state.u, state.v, state.omega, state.sigma,
+            minus = CorrectorState(state.x, state.omega, state.sigma,
                                    state.anchor)
             minus.apply_step(-step)
             fd[:, k] = (
@@ -270,8 +276,7 @@ def test_gauss_newton_folds_negated_frequency(one_delay, one_delay_pert):
     xi0, _ = sv_threshold(one_delay_pert, one_delay, sigma0)
     omega0 = -float(pred.frequencies[0])
     x0 = start_vector(build_nleig(shifted, 1j * omega0, xi0))
-    state0 = CorrectorState(u=x0[:1], v=x0[1:], omega=omega0, sigma=sigma0,
-                            anchor=x0.copy())
+    state0 = CorrectorState(x=x0, omega=omega0, sigma=sigma0, anchor=x0.copy())
     run = gauss_newton(one_delay, one_delay_pert, state0)
     assert run.converged
     assert run.state.omega > 0.0
@@ -285,11 +290,80 @@ def test_gauss_newton_budget_status(one_delay, one_delay_pert):
     shifted, _ = shift_system(one_delay, one_delay_pert, sigma0)
     xi0, _ = sv_threshold(one_delay_pert, one_delay, sigma0)
     x0 = start_vector(build_nleig(shifted, 1j * float(pred.frequencies[0]), xi0))
-    state0 = CorrectorState(u=x0[:1], v=x0[1:],
-                            omega=float(pred.frequencies[0]), sigma=sigma0,
-                            anchor=x0.copy())
+    state0 = CorrectorState(x=x0, omega=float(pred.frequencies[0]),
+                            sigma=sigma0, anchor=x0.copy())
     run = gauss_newton(one_delay, one_delay_pert, state0, max_iter=0)
     assert not run.converged and run.status == "max-iterations"
+
+
+def _off_disk_state():
+    """Disk-case state 1e-3 right of the solution, so no start converges at once."""
+    state = disk_state(0.0, 0.25)
+    state.sigma += 1e-3
+    return state
+
+
+def test_gauss_newton_rank_deficient_exit(monkeypatch):
+    def deficient(jac, res):
+        raise numerics.RankDeficientError(3, jac.shape[1])
+
+    monkeypatch.setattr(numerics, "least_squares_real", deficient)
+    run = gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
+                       _off_disk_state())
+    assert run.status == "rank-deficient" and not run.converged
+    assert run.iterations == 0
+    assert len(run.residual_norms) == 1
+
+
+def test_gauss_newton_stalled_exit(monkeypatch):
+    monkeypatch.setattr(numerics, "least_squares_real",
+                        lambda jac, res: np.zeros(jac.shape[1]))
+    run = gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
+                       _off_disk_state())
+    assert run.status == "stalled" and not run.converged
+    assert run.iterations == 1
+    assert len(run.residual_norms) == 2
+    assert run.residual_norms[0] == run.residual_norms[1]
+
+
+def test_gauss_newton_diverged_exit(monkeypatch):
+    # every step moves sigma further from the solution, so the residual
+    # grows on each of the next three iterations
+    def away(jac, res):
+        step = np.zeros(jac.shape[1])
+        step[-1] = 0.1
+        return step
+
+    monkeypatch.setattr(numerics, "least_squares_real", away)
+    run = gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
+                       _off_disk_state())
+    assert run.status == "diverged" and not run.converged
+    assert run.iterations == 3
+    assert len(run.residual_norms) == 4
+    assert np.all(np.diff(run.residual_norms) > 0.0)
+
+
+def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
+    solve = numerics.least_squares_real
+    calls = []
+
+    def first_fails(jac, res):
+        calls.append(1)
+        if len(calls) == 1:
+            raise numerics.RankDeficientError(0, jac.shape[1])
+        return solve(jac, res)
+
+    pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
+    assert len(pred.frequencies) == 2
+    monkeypatch.setattr(numerics, "least_squares_real", first_fails)
+    res = correct(one_delay, one_delay_pert, pred)
+    failed, kept = res.per_start
+    assert failed.status == "rank-deficient" and not failed.converged
+    assert failed.iterations == 0 and len(failed.residual_norms) == 1
+    assert kept.status == "converged" and kept.converged
+    assert len(kept.residual_norms) == kept.iterations + 1
+    assert "1 of 2 correction starts did not converge" in res.warnings
+    assert abs(res.alpha_eps - ALPHA_EPS_ONE_DELAY) < 1e-10
 
 
 # --- correction driver -------------------------------------------------------

@@ -5,14 +5,14 @@ from delaypsa import numerics
 
 
 def test_eig_diagonal():
-    vals = numerics.eig_real(np.diag([1.0, 2.0, 3.0])).eigenvalues
+    vals = numerics.eig_real(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(np.sort(vals.real), [1.0, 2.0, 3.0])
     assert np.allclose(vals.imag, 0.0)
 
 
 def test_eig_rotation_generator():
     # [[0, 1], [-1, 0]] has eigenvalues +-j
-    vals = numerics.eig_real(np.array([[0.0, 1.0], [-1.0, 0.0]])).eigenvalues
+    vals = numerics.eig_real(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert np.allclose(np.sort(vals.imag), [-1.0, 1.0])
     assert np.allclose(vals.real, 0.0)
 
@@ -20,17 +20,9 @@ def test_eig_rotation_generator():
 def test_eig_companion():
     # companion matrix of lambda^2 - 3 lambda + 2 = (lambda-1)(lambda-2)
     comp = np.array([[3.0, -2.0], [1.0, 0.0]])
-    vals = numerics.eig_real(comp).eigenvalues
+    vals = numerics.eig_real(comp)
     assert np.allclose(np.sort(vals.real), [1.0, 2.0])
     assert np.allclose(vals.imag, 0.0)
-
-
-def test_eig_vectors_satisfy_definition():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 5))
-    res = numerics.eig_real(a, vectors=True)
-    err = a @ res.eigenvectors - res.eigenvectors * res.eigenvalues
-    assert np.max(np.abs(err)) < 1e-12
 
 
 def test_eig_rejects_nonsquare():
