@@ -6,12 +6,14 @@ Everything here avoids the predictor/corrector machinery on purpose: the
 only ingredients are the characteristic matrix, the weight, and dense
 singular value sweeps, so results can cross-check the fast path.
 
-sigma_min is 1-Lipschitz and ||F(lam) - F(mu)||_2 <= L |lam - mu| on a
-region with L = 1 + sum_i tau_i ||A_i||_2 exp(-tau_i re_min), so
-|sigma_min(F(lam)) - sigma_min(F(c))| <= L |lam - c| there.  contours uses
-this to place most nodes on their side of the level set unevaluated, so
-its cost grows with the length of the boundary; grid_level still
-evaluates every node.
+sigma_min is 1-Lipschitz and ||F(lam) - F(c)||_2 <= L |lam - c| with
+L = 1 + sum_i tau_i ||A_i||_2 exp(-tau_i min(Re lam, Re c)), so
+|sigma_min(F(lam)) - sigma_min(F(c))| <= L |lam - c|.  One kernel, _place,
+uses this to put most grid nodes on their side of the level set
+unevaluated.  contours then evaluates the corners of the cells the
+boundary crosses, so its cost grows with the length of the boundary;
+grid_psa drops the columns left of a node known inside and evaluates the
+inside nodes of its answer column.  grid_level evaluates every node.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 _CHUNK = 200_000  # grid points per batched SVD call, bounds memory
-_STRIDES = (8, 2)  # lattices contours evaluates before the undecided nodes
+_STRIDES = (8, 2)  # lattices _place evaluates before the undecided nodes
 _MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||
 
 
@@ -102,17 +104,13 @@ def _weight_row(system, pert, re):
     return np.array([eval_weight(pert, system, s) for s in re])
 
 
-def _level(system, pert, re, im):
-    """f at the nodes re + j*im, shape (len(im), len(re)); +inf at roots."""
+def grid_level(system, pert, region):
+    """Level function f on the grid, shape (n_im, n_re); +inf at roots."""
+    _check_region(system, pert, region)
+    re, im = region.re_axis(), region.im_axis()
     smin = _smallest_singular(system, re[None, :] + 1j * im[:, None])
     with np.errstate(divide="ignore"):
         return _weight_row(system, pert, re)[None, :] / smin
-
-
-def grid_level(system, pert, region):
-    """Level function f on the grid, shape (n_im, n_re); +inf at roots."""
-    check_pair(system, pert)
-    return _level(system, pert, region.re_axis(), region.im_axis())
 
 
 @dataclass(frozen=True)
@@ -131,20 +129,16 @@ def grid_psa(system, pert, region, refine_iters=3):
     window around the maximizer at 10x resolution, refine_iters times.  The
     right edge of the region must stay outside the level set, otherwise the
     region cannot contain the rightmost point and RegionTooSmallError is
-    raised.  Reported resolution is the final cell width along Re.  Columns
-    are evaluated from the right edge inward and the sweep stops at the
-    maximizer's column, so the cost scales with the columns right of it.
+    raised.  Reported resolution is the final cell width along Re.  Nodes
+    are placed by _place, so few are evaluated.
     """
-    check_pair(system, pert)
+    _check_region(system, pert, region)
     best_re, best_im = _rightmost_inside(system, pert, region, edge_rule=True)
     cell_re = (region.re_max - region.re_min) / (region.n_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.n_im - 1)
     for _ in range(refine_iters):
-        sub = GridRegion(
-            best_re - cell_re, best_re + cell_re,
-            best_im - cell_im, best_im + cell_im,
-            21, 21,
-        )
+        sub = GridRegion(best_re - cell_re, best_re + cell_re,
+                         best_im - cell_im, best_im + cell_im, 21, 21)
         # the previous maximizer is the center node, so sub has an inside node
         best_re, best_im = _rightmost_inside(system, pert, sub, edge_rule=False)
         cell_re /= 10.0
@@ -156,30 +150,25 @@ def grid_psa(system, pert, region, refine_iters=3):
 def _rightmost_inside(system, pert, region, edge_rule):
     """Rightmost column with a node at f >= 1/eps, and its largest-f node there.
 
-    Columns are evaluated in blocks of one batched sweep each, from the
-    right edge inward, and the scan stops at the first block with an inside
-    node: columns left of that block cannot move the answer.  With
-    edge_rule, an inside node on the right edge raises RegionTooSmallError.
+    With edge_rule, an inside node on the right edge raises
+    RegionTooSmallError.  Only the answer column's inside nodes need their
+    f for the argmax; those _place left unevaluated are evaluated here.
     """
-    level = 1.0 / pert.epsilon
-    re = region.re_axis()
-    im = region.im_axis()
-    width = max(1, _CHUNK // (system.n * system.n * region.n_im))
-    for stop in range(region.n_re, 0, -width):
-        cols = re[max(stop - width, 0) : stop]
-        f = _level(system, pert, cols, im)
-        mask = f >= level
-        if edge_rule and stop == region.n_re and mask[:, -1].any():
-            raise RegionTooSmallError(
-                "level set reaches the right edge; extend re_max"
-            )
-        if mask.any():
-            j = np.where(mask.any(axis=0))[0].max()
-            i = int(np.argmax(np.where(mask[:, j], f[:, j], -np.inf)))
-            return cols[j], im[i]
-    raise EmptyPseudospectrumError(
-        "no grid node reaches the level; enlarge the region or refine the grid"
-    )
+    re, im = region.re_axis(), region.im_axis()
+    smin, inside, w = _place(system, pert, re, im, rightmost=True)
+    if edge_rule and inside[:, -1].any():
+        raise RegionTooSmallError("level set reaches the right edge; extend re_max")
+    cols = np.nonzero(inside.any(axis=0))[0]
+    if not cols.size:
+        raise EmptyPseudospectrumError("no grid node reaches the level; "
+                                       "enlarge the region or refine the grid")
+    j = cols[-1]
+    col = smin[:, j]
+    todo = inside[:, j] & np.isnan(col)
+    col[todo] = _smallest_singular(system, re[j] + 1j * im[todo])
+    with np.errstate(divide="ignore"):
+        i = int(np.argmax(np.where(inside[:, j], w[j] / col, -np.inf)))
+    return re[j], im[i]
 
 
 def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
@@ -244,6 +233,17 @@ def frequency_bound(system, pert, sigma_min):
     return float(total)
 
 
+def _check_region(system, pert, region):
+    """check_pair, and reject a region where exp(-lam*tau) overflows."""
+    try:
+        finite = math.isfinite(frequency_bound(system, pert, region.re_min))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"re_min = {region.re_min!r} is too far left: "
+                         "exp(-lam*tau) overflows on the region")
+
+
 @dataclass(frozen=True)
 class ContourSet:
     """Polylines of the boundary level set f = level (level = 1/eps)."""
@@ -265,7 +265,7 @@ def contours(system, pert, region):
     corners of the cells the boundary crosses (see _boundary_field), so
     the cost grows with the length of the boundary.
     """
-    check_pair(system, pert)
+    _check_region(system, pert, region)
     re = region.re_axis()
     im = region.im_axis()
     g, inside, mixed = _boundary_field(system, pert, re, im)
@@ -286,10 +286,7 @@ def contours(system, pert, region):
     def edge_point(kind, i, j):
         key = (kind, i, j)
         if key not in points:
-            if kind == "h":
-                points[key] = interp(i, j, i, j + 1)
-            else:
-                points[key] = interp(i, j, i + 1, j)
+            points[key] = interp(i, j, i + (kind == "v"), j + (kind == "h"))
         return key
 
     # row-major, the order in which segments reach _stitch
@@ -304,30 +301,19 @@ def contours(system, pert, region):
         top = ("h", i + 1, j)
         left = ("v", i, j)
         right = ("v", i, j + 1)
-        if count in (1, 3):
-            flag = count == 1
-            if b00 == flag:
-                pairs = [(left, bottom)]
-            elif b10 == flag:
-                pairs = [(bottom, right)]
-            elif b11 == flag:
-                pairs = [(right, top)]
-            else:
-                pairs = [(top, left)]
+        # the two edges at each corner, counterclockwise from (i, j)
+        around = [(left, bottom), (bottom, right), (right, top), (top, left)]
+        if count in (1, 3):  # cut off the corner that differs
+            pairs = [around[[b00, b10, b11, b01].index(count == 1)]]
         elif b00 == b10:  # horizontal split
             pairs = [(left, right)]
         elif b00 == b01:  # vertical split
             pairs = [(bottom, top)]
-        else:  # saddle; connect according to the center sample
+        else:  # saddle; cut off the corners on the other side of the center
             center_inside = 0.25 * (
                 g[i, j] + g[i, j + 1] + g[i + 1, j] + g[i + 1, j + 1]
             ) < level
-            if b00 and b11:
-                pairs = ([(bottom, right), (top, left)] if center_inside
-                         else [(left, bottom), (right, top)])
-            else:
-                pairs = ([(left, bottom), (right, top)] if center_inside
-                         else [(bottom, right), (top, left)])
+            pairs = around[int(b00 == center_inside)::2]
         for a, b in pairs:
             segments.append((edge_point(*a), edge_point(*b)))
 
@@ -339,31 +325,52 @@ def _boundary_field(system, pert, re, im):
 
     Returns (g, inside, mixed) over the grid re + j*im: g is sigma_min(F)/w
     at evaluated nodes and nan elsewhere, inside is g < eps at every node,
-    and mixed marks the cells with corners on both sides, whose corners are
-    all evaluated.  By the bound in the module docstring, a node at distance
-    d from an evaluated node c with |sigma_min(F(c)) - eps*w| > L*d + margin
-    lies on the side of c.  Each lattice of _STRIDES is evaluated where
-    undecided and places the nodes its nearest lattice node decides; then
-    the undecided nodes and the unevaluated corners of mixed cells are
-    evaluated, so no node is evaluated twice.
+    and mixed marks the cells with corners on both sides.  _place decides
+    every node; the unevaluated corners of mixed cells are evaluated here.
+    """
+    smin, inside, w = _place(system, pert, re, im)
+    count = (inside[:-1, :-1].astype(np.int8) + inside[:-1, 1:]
+             + inside[1:, :-1] + inside[1:, 1:])
+    mixed = (count > 0) & (count < 4)
+    corners = np.zeros(inside.shape, dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        corners[di:di + mixed.shape[0], dj:dj + mixed.shape[1]] |= mixed
+    rows, cols = np.nonzero(corners & np.isnan(smin))
+    smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
+    return smin / w[None, :], inside, mixed
+
+
+def _place(system, pert, re, im, rightmost=False):
+    """Sides of the level set at the nodes re + j*im, evaluating few of them.
+
+    Returns (smin, inside, w): smin is sigma_min(F) at evaluated nodes and
+    nan elsewhere, inside marks the nodes known inside, w is w(re).  By the
+    module docstring's bound, a node lam at distance d from an evaluated
+    node c with |sigma_min(F(c)) - eps*w(Re lam)| > L*d + margin lies on the
+    side of c.  Each lattice of _STRIDES is evaluated where undecided and
+    places the nodes its nearest lattice node decides; then the undecided
+    nodes are evaluated, none twice.  An evaluated node is inside at
+    sigma_min/w < eps, or with rightmost at f >= 1/eps (grid_psa's test);
+    then each pass also stops evaluating the columns left of the rightmost
+    one with a node known inside, whose nodes may stay undecided.
     """
     shape = (len(im), len(re))
     w = _weight_row(system, pert, re)
     eps_w = pert.epsilon * w
     norms = [np.linalg.norm(a, 2) for a in system.matrices]
-    with np.errstate(over="ignore", invalid="ignore"):
-        lip = 1.0 + sum(tau * na * np.exp(-tau * re[0])
-                        for tau, na in zip(system.delays, norms))
     slack = _MARGIN * (1.0 + sum(norms) + math.hypot(
         max(abs(re[0]), abs(re[-1])), max(abs(im[0]), abs(im[-1]))))
     smin = np.full(shape, np.nan)  # nan until evaluated
     known = np.zeros(shape, dtype=bool)  # side decided
     inside = np.zeros(shape, dtype=bool)
+    live = np.ones(shape[1], dtype=bool)  # columns still evaluated
 
     def evaluate(mask):
-        rows, cols = np.nonzero(mask)
-        smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
-        inside[rows, cols] = smin[rows, cols] / w[cols] < pert.epsilon
+        rows, cols = np.nonzero(mask & live[None, :])
+        s = smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
+        with np.errstate(divide="ignore"):
+            inside[rows, cols] = (w[cols] / s >= 1.0 / pert.epsilon if rightmost
+                                  else s / w[cols] < pert.epsilon)
         known[rows, cols] = True
 
     for stride in _STRIDES:
@@ -372,25 +379,20 @@ def _boundary_field(system, pert, re, im):
         on_r = near_r == np.arange(shape[0])
         on_c = near_c == np.arange(shape[1])
         evaluate(on_r[:, None] & on_c[None, :] & ~known)
-        if not np.isfinite(lip):
-            continue
         gap = smin[near_r[:, None], near_c[None, :]] - eps_w[None, :]
         dist = np.hypot((im - im[near_r])[:, None], (re - re[near_c])[None, :])
-        placed = ~known & (np.abs(gap) > lip * dist + slack)  # false at nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = np.minimum(re, re[near_c])
+            lip = 1.0 + sum(tau * na * np.exp(-tau * low)
+                            for tau, na in zip(system.delays, norms))
+            # false where c is unevaluated (nan) and where L overflows
+            placed = ~known & (np.abs(gap) > lip[None, :] * dist + slack)
         inside[placed] = gap[placed] < 0.0
         known |= placed
+        if rightmost and inside.any():
+            live[: np.nonzero(inside.any(axis=0))[0][-1]] = False
     evaluate(~known)
-
-    count = (inside[:-1, :-1].astype(np.int8) + inside[:-1, 1:]
-             + inside[1:, :-1] + inside[1:, 1:])
-    mixed = (count > 0) & (count < 4)
-    corners = np.zeros(shape, dtype=bool)
-    corners[:-1, :-1] |= mixed
-    corners[:-1, 1:] |= mixed
-    corners[1:, :-1] |= mixed
-    corners[1:, 1:] |= mixed
-    evaluate(corners & np.isnan(smin))
-    return smin / w[None, :], inside, mixed
+    return smin, inside, w
 
 
 def _nearest_on_lattice(size, stride):
@@ -420,11 +422,7 @@ def _stitch(segments, points):
         for endpos in (True, False):
             while True:
                 tip = chain[-1] if endpos else chain[0]
-                nxt = None
-                for idx in adj[tip]:
-                    if not used[idx]:
-                        nxt = idx
-                        break
+                nxt = next((idx for idx in adj[tip] if not used[idx]), None)
                 if nxt is None:
                     break
                 used[nxt] = True

@@ -317,6 +317,22 @@ def test_oracle_region_too_small_exit(tmp_path, capsys):
     assert "re-max" in err or "right edge" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "contour"])
+def test_far_left_region_exits_one_without_traceback(tmp_path, capsys,
+                                                     command):
+    # exp(-lam * 30) overflows at re_min = -30
+    path = write_file(tmp_path, dict(ONE_DELAY, delays=[30.0]))
+    code, _, err = run(
+        capsys, command, path,
+        "--re-min", "-30", "--re-max", "0.2",
+        "--im-min", "0", "--im-max", "2",
+        "--n-re", "21", "--n-im", "21",
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "too far left" in err
+
+
 def test_oracle_compare_all_starts_failed_exit_code(tmp_path, capsys):
     path = write_file(tmp_path, ONE_DELAY)
     code, _, err = run(

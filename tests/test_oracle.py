@@ -127,12 +127,12 @@ def test_grid_psa_matches_corrector(one_delay, one_delay_pert):
     assert abs(grid.location.imag - res.omega_eps) < 1e-2
 
 
-# --- right-to-left column scan -----------------------------------------------
+# --- grid_psa against the full grid -------------------------------------------
 
 
 def full_grid_psa(system, pert, region, refine_iters=3):
     """grid_psa evaluated on the whole grid through grid_level, as before the
-    right-to-left scan; the scan must reproduce it exactly."""
+    Lipschitz placement; grid_psa must reproduce it exactly."""
     level = 1.0 / pert.epsilon
     f = grid_level(system, pert, region)
     if (f[:, -1] >= level).any():
@@ -191,8 +191,8 @@ def large_case():
 
 
 def normal_ten():
-    # diag(-1, ..., -10): n = 10 makes a 41-column region span five blocks,
-    # and with eps = 0.3 only columns 0-4 reach the level
+    # diag(-1, ..., -10) with eps = 0.3: only columns 0-4 reach the level,
+    # so the answer sits near the left edge
     system = TimeDelaySystem((0.0,), (np.diag(-np.arange(1.0, 11.0)),))
     region = GridRegion(-1.2, 3.0, -0.5, 0.5, 41, 201)
     return system, disk_pert(0.3), region
@@ -222,34 +222,20 @@ def test_grid_psa_scan_matches_full_grid(case, request):
     assert got.location == want.location
 
 
-def test_grid_psa_leftmost_answer_visits_every_block(monkeypatch):
+def test_grid_psa_leftmost_answer_evaluates_few_nodes(monkeypatch):
     system, pert, region = normal_ten()
-    seen = []
-    kernel = numerics.singular_values
-
-    def counting(stack):
-        seen.append(stack.shape[0])
-        return kernel(stack)
-
-    monkeypatch.setattr(numerics, "singular_values", counting)
+    counted = _count_matrices(monkeypatch)
     res = grid_psa(system, pert, region, refine_iters=0)
     assert abs(res.value - (-0.7)) <= 4.2 / 40.0
-    assert seen == [9 * 201] * 4 + [5 * 201]
+    # the full grid is 41 * 201 = 8 241
+    assert counted[0] <= 800
 
 
-def test_grid_psa_evaluates_only_columns_right_of_answer(large_case,
-                                                         monkeypatch):
-    counted = [0]
-    kernel = numerics.singular_values
-
-    def counting(stack):
-        counted[0] += stack.shape[0]
-        return kernel(stack)
-
-    monkeypatch.setattr(numerics, "singular_values", counting)
+def test_grid_psa_evaluates_few_nodes(large_case, monkeypatch):
+    counted = _count_matrices(monkeypatch)
     grid_psa(*large_case)
-    # the full grid would be 201 * 201 + 3 * 441
-    assert counted[0] <= 63 * 201 + 3 * 441
+    # the full grid would be 201 * 201 + 3 * 441 = 41 724
+    assert counted[0] <= 3000
 
 
 # --- frequency-sup profile ---------------------------------------------------
@@ -470,6 +456,15 @@ def _contour_case(case, request):
             GridRegion(-3.0, 0.2, -2.0, 2.0, 101, 101))
 
 
+@pytest.mark.parametrize("oracle", [grid_level, grid_psa, contours])
+def test_far_left_region_rejected(oracle):
+    # tau = 30 on re >= -30: exp(-lam * tau) reaches e^900 and overflows
+    system, pert, _ = _contour_case("stiff", None)
+    region = GridRegion(-30.0, 0.2, -2.0, 2.0, 21, 21)
+    with pytest.raises(ValueError, match="too far left"):
+        oracle(system, pert, region)
+
+
 def _count_matrices(monkeypatch):
     counted = [0]
     kernel = numerics.singular_values
@@ -508,8 +503,16 @@ def _delay_free_plant(rng, n, m):
     return TimeDelaySystem((0.0,), (rng.uniform(-2.0, 2.0, (n, n)),))
 
 
+def _long_delay_plant(rng, n, m):
+    # tau >= 10: exp(-tau * Re lam) spans many decades across a region, so
+    # the constant per node pair is far below the one at the left edge
+    mats = tuple(rng.uniform(-1.0, 1.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(10.0, 30.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
 @pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
-                                    _stiff_plant])
+                                    _stiff_plant, _long_delay_plant])
 def test_boundary_field_is_sound(recipe):
     # the bound-placed sides equal the evaluated ones at every node, and the
     # values contours reads equal the full-grid values
@@ -558,3 +561,33 @@ def test_smallest_singular_matches_char_matrix(recipe):
         expect = [numerics.svd_complex(char_matrix(system, p)).values[-1]
                   for p in pts]
         assert np.array_equal(_smallest_singular(system, pts), expect)
+
+
+@pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
+                                    _stiff_plant, _wide_plant])
+def test_grid_psa_matches_full_grid_on_random_plants(recipe):
+    # regions around the rightmost root of the discretization, so most
+    # cases have an answer; the others must raise the same error
+    values = 0
+    for seed in range(16):
+        rng = np.random.default_rng([17, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (system.m + 1),
+                                float(10.0 ** rng.uniform(-2.0, 0.0)))
+        roots = numerics.eig_real(assemble(system, 10).state_matrix)
+        root = roots[np.argmax(roots.real)]
+        re0, im0 = root.real, abs(root.imag)
+        region = GridRegion(
+            re0 - rng.uniform(0.2, 1.0), re0 + rng.uniform(0.2, 1.0),
+            im0 - rng.uniform(0.2, 1.0), im0 + rng.uniform(0.2, 1.0),
+            int(rng.integers(15, 60)), int(rng.integers(15, 60)))
+        outcome = []
+        for oracle in (grid_psa, full_grid_psa):
+            try:
+                outcome.append(oracle(system, pert, region))
+            except (RegionTooSmallError, EmptyPseudospectrumError) as exc:
+                outcome.append(type(exc))
+        assert outcome[0] == outcome[1]
+        values += isinstance(outcome[1], GridPsaResult)
+    assert values >= 8
