@@ -1,20 +1,22 @@
 """Gauss-Newton correction of a predicted pseudospectral abscissa point.
 
-A rightmost point sigma + j*omega of the epsilon-pseudospectrum satisfies a
-nonlinear eigenvalue system: the doubled matrix
+A rightmost point lam = sigma + j*omega of the epsilon-pseudospectrum
+satisfies a nonlinear eigenvalue system: the doubled matrix
 
-    H(lam, sigma, xi) = [[F_sigma(lam), -xi^{-2} I], [I, -F_sigma(lam)*]]
+    H(lam, xi) = [[F(lam), -xi^{-2} I], [I, -F(lam)*]]
 
-(with F_sigma the characteristic matrix of the sigma-shifted system and
-xi = 1/(eps * w(sigma)) the target resolvent singular value) must be
-singular at lam = j*omega, and the active singular value curve must be at
-an extremum in omega.  The unknowns are one complex null vector x = [u; v],
-omega and sigma; as the real vector (Re x, Im x, omega, sigma) they give
-4n+2 degrees of freedom constrained by 4n+3 real equations (null vector,
-anchor normalization, extremality), solved by Gauss-Newton with the
-analytic Jacobian.  Starts come straight from the predictor's frequency
-list.  F_sigma, F_sigma' and F_sigma'' come from `model.char_matrix`; each
-Gauss-Newton step makes one `jacobian` call.
+(with F the characteristic matrix and xi = 1/(eps * w(sigma)) the target
+resolvent singular value) must be singular, and the active singular value
+curve must be at an extremum in omega.  The unknowns are one complex null
+vector x = [u; v], omega and sigma; as the real vector (Re x, Im x, omega,
+sigma) they give 4n+2 degrees of freedom constrained by 4n+3 real
+equations (null vector, anchor normalization, extremality), solved by
+Gauss-Newton with the analytic Jacobian.  Starts come straight from the
+predictor's frequency list.  The equations are posed on the exact F of the
+caller's system: the predictor recenters only for its rational
+approximation, and the recentered F at j*omega is F(sigma + j*omega)
+exactly (see `model.shift_system`).  F, F' and F'' come from `model.char_matrix`; each Gauss-Newton
+step makes one `jacobian` call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .model import char_matrix, check_pair, eval_weight, shift_system
+from .model import char_matrix, check_pair, eval_weight
 
 __all__ = [
     "AllStartsFailedError",
@@ -36,7 +38,6 @@ __all__ = [
     "sv_threshold",
     "build_nleig",
     "start_vector",
-    "residual",
     "jacobian",
     "gauss_newton",
     "correct",
@@ -59,17 +60,14 @@ def sv_threshold(pert, system, sigma):
     return xi, dxi
 
 
-def build_nleig(shifted_system, lam, xi):
-    """Doubled nonlinear eigenvalue matrix H(lam, sigma, xi), 2n x 2n.
+def build_nleig(system, lam, xi):
+    """Doubled nonlinear eigenvalue matrix H(lam, xi), 2n x 2n.
 
-    shifted_system carries the sigma-shifted matrices (see model.shift_system
-    for the weight half; only the matrices matter here).  With
-    f = char_matrix(shifted_system, lam) the blocks are [[f, -xi^{-2} I],
-    [I, -f*]]; every caller passes lam = j*omega, where -f* is
-    lam I + A_{sigma,0}^T + sum_i A_{sigma,i}^T exp(+lam*tau_i).
+    With f = char_matrix(system, lam) the blocks are [[f, -xi^{-2} I],
+    [I, -f*]], where -f* is -conj(lam) I + sum_i A_i^T exp(-conj(lam)*tau_i).
     """
-    n = shifted_system.n
-    f = char_matrix(shifted_system, lam)
+    n = system.n
+    f = char_matrix(system, lam)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, :n] = f
     h[:n, n:] = -(xi ** -2) * np.eye(n)
@@ -118,11 +116,6 @@ class CorrectorState:
             self.omega = -self.omega
 
 
-def residual(system, pert, state):
-    """Real residual vector r, length 4n+3, as returned by `jacobian`."""
-    return jacobian(system, pert, state)[0]
-
-
 def _put_real_form(jac, row, mat):
     """Write z -> mat z as [[Re mat, -Im mat], [Im mat, Re mat]] at jac[row, 0]."""
     p, q = mat.shape
@@ -133,23 +126,22 @@ def _put_real_form(jac, row, mat):
 
 
 def jacobian(system, pert, state):
-    """Residual r and its analytic Jacobian J, from one shift and one H.
+    """Residual r and its analytic Jacobian J, from one H at lam = sigma + j*omega.
 
-    r has rows Re/Im of H(j*omega) x (4n), Re/Im of anchor* x - 1 (2), and
-    the extremality condition Im{ v* P u } (1), x = [u; v], P = F_sigma'(j*omega).
-    J, shape (4n+3, 4n+2), is in (Re x, Im x, omega, sigma); its x columns are
-    the real forms of H and anchor*.  With pu = P u and qv = P* v, the omega
-    column is dH/domega x = j [pu; qv] and the sigma column, which chains
-    through the shifted matrices and through xi(sigma), is
+    r, length 4n+3, has rows Re/Im of H(lam) x (4n), Re/Im of anchor* x - 1
+    (2), and the extremality condition Im{ v* P u } (1), x = [u; v],
+    P = F'(lam).  J, shape (4n+3, 4n+2), is in (Re x, Im x, omega, sigma);
+    its x columns are the real forms of H and anchor*.  With pu = P u and
+    qv = P* v, the omega column is dH/domega x = j [pu; qv] and the sigma
+    column, which chains through F(lam) and through xi(sigma), is
     dH/dsigma x = [pu + 2 xi^-3 xi' v; -qv].
     """
     n = system.n
     x, u, v = state.x, state.x[:n], state.x[n:]
-    shifted, _ = shift_system(system, pert, state.sigma)
     xi, dxi = sv_threshold(pert, system, state.sigma)
-    lam = 1j * state.omega
-    h = build_nleig(shifted, lam, xi)
-    p = char_matrix(shifted, lam, 1)
+    lam = complex(state.sigma, state.omega)
+    h = build_nleig(system, lam, xi)
+    p = char_matrix(system, lam, 1)
     pu = p @ u
     qv = p.conj().T @ v
     hx = h @ x
@@ -169,7 +161,7 @@ def jacobian(system, pert, state):
     jac[: 2 * n, 4 * n :] = dhx.real
     jac[2 * n : 4 * n, 4 * n :] = dhx.imag
     # g = Im(v* P u) = Im(qv* u) + Im(v* pu); dP/domega = j F'', dP/dsigma = F''
-    s = v.conj() @ (char_matrix(shifted, lam, 2) @ u)
+    s = v.conj() @ (char_matrix(system, lam, 2) @ u)
     jac[4 * n + 2] = np.concatenate([
         -qv.imag, pu.imag, qv.real, -pu.real, [s.real, s.imag],
     ])
@@ -204,6 +196,7 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
     threshold = (1e-10 if gn_tol is None else float(gn_tol)) * (1.0 + scale)
     norms = []
     grew = 0
+    stalled = False
     status = "max-iterations"
     converged = False
     iterations = 0
@@ -214,6 +207,9 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
         if rn <= threshold:
             status = "converged"
             converged = True
+            break
+        if stalled:
+            status = "stalled"
             break
         if len(norms) >= 2 and rn > norms[-2]:
             grew += 1
@@ -230,14 +226,7 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
             status = "rank-deficient"
             break
         state.apply_step(step)
-        if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(state.pack())):
-            r = residual(system, pert, state)
-            rn = float(np.linalg.norm(r))
-            norms.append(rn)
-            converged = rn <= threshold
-            status = "converged" if converged else "stalled"
-            iterations += 1
-            break
+        stalled = np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(state.pack()))
     if converged:
         state.fold()
     return GaussNewtonResult(state, converged, status, iterations, tuple(norms))
@@ -265,20 +254,6 @@ class CorrectionResult:
     per_start: tuple
     warnings: tuple = ()
 
-    def distinct_solutions(self, tol=1e-8):
-        """Converged (sigma, omega) pairs deduplicated within tol-relative."""
-        out = []
-        for s in self.per_start:
-            if not s.converged:
-                continue
-            if not any(
-                abs(s.sigma - a) <= tol * (1.0 + abs(a))
-                and abs(s.omega - b) <= tol * (1.0 + abs(b))
-                for a, b in out
-            ):
-                out.append((s.sigma, s.omega))
-        return out
-
 
 def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     """Correct a prediction: one Gauss-Newton run per predicted frequency.
@@ -295,11 +270,10 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     if freqs.size == 0:
         raise ValueError("prediction carries no frequencies to correct")
     sigma0 = float(prediction.alpha_pred)
-    shifted0, _ = shift_system(system, pert, sigma0)
     xi0, _ = sv_threshold(pert, system, sigma0)
     outcomes = []
     for omega0 in freqs:
-        x0 = start_vector(build_nleig(shifted0, 1j * omega0, xi0))
+        x0 = start_vector(build_nleig(system, complex(sigma0, omega0), xi0))
         state0 = CorrectorState(x=x0, omega=float(omega0), sigma=sigma0, anchor=x0)
         run = gauss_newton(system, pert, state0, gn_tol=gn_tol,
                            max_iter=max_iter)

@@ -30,7 +30,6 @@ __all__ = [
     "rational_exp_nodes",
     "char_matrix_approx",
     "level_approx",
-    "transfer_function",
     "spectral_abscissa_approx",
 ]
 
@@ -233,20 +232,6 @@ def level_approx(disc, pert, sigma, omega):
     if smin == 0.0:
         return math.inf
     return w / smin
-
-
-def transfer_function(disc, lam):
-    """B_N^T (lam I - A_N)^{-1} B_N, the n x n transfer function at lam.
-
-    Equals the inverse of char_matrix_approx(disc, lam) wherever both are
-    defined; raises SingularMatrixError when lam is an eigenvalue of A_N.
-    """
-    dim = disc.state_matrix.shape[0]
-    x = numerics.solve_complex(
-        lam * np.eye(dim) - disc.state_matrix,
-        disc.input_matrix.astype(complex),
-    )
-    return disc.input_matrix.T @ x
 
 
 def spectral_abscissa_approx(disc):

@@ -1,6 +1,5 @@
 """Independent grid oracles: dense level-function evaluation, a brute-force
-pseudospectral abscissa, frequency profiles of the discretized level
-function, and contour extraction for plotting.
+pseudospectral abscissa, and contour extraction for plotting.
 
 Everything here avoids the predictor/corrector machinery on purpose: the
 only ingredients are the characteristic matrix, the weight, and dense
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .discretization import level_approx
 from .model import check_pair, eval_weight
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "ContourSet",
     "grid_level",
     "grid_psa",
-    "level_sup_profile",
     "frequency_bound",
     "contours",
 ]
@@ -167,55 +164,6 @@ def _rightmost_inside(system, pert, region, edge_rule):
     with np.errstate(divide="ignore"):
         i = int(np.argmax(np.where(inside[:, j], w[j] / smin[:, j], -np.inf)))
     return re[j], im[i]
-
-
-def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
-    """sup over omega >= 0 of f_N(sigma + j*omega), one value per sigma.
-
-    Scans a uniform frequency grid on [0, omega_max] augmented with the
-    imaginary parts of the eigenvalues of the collocation matrix (the sup
-    turns into a narrow resonance spike as sigma approaches the discretized
-    spectral abscissa, and the eigenvalue frequencies sit at those spikes),
-    then sharpens the best candidate with golden-section search.
-    """
-    check_pair(disc.system, pert)
-    eig_im = np.abs(numerics.eig_real(disc.state_matrix).imag)
-    seeds = eig_im[eig_im <= omega_max]
-    base = np.linspace(0.0, omega_max, n_omega)
-    candidates = np.unique(np.concatenate([base, seeds]))
-    out = []
-    for sigma in np.atleast_1d(np.asarray(sigmas, dtype=float)):
-        vals = np.array([level_approx(disc, pert, sigma, w) for w in candidates])
-        k = int(np.argmax(vals))
-        lo = candidates[max(k - 1, 0)]
-        hi = candidates[min(k + 1, len(candidates) - 1)]
-        out.append(_golden_max(
-            lambda w: level_approx(disc, pert, sigma, w), lo, hi, vals[k]
-        ))
-    return np.array(out)
-
-
-def _golden_max(fun, lo, hi, best_val):
-    """Golden-section maximization on [lo, hi]; returns max(found, best_val)."""
-    if hi <= lo:
-        return best_val
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(80):
-        if b - a < 1e-12 * (1.0 + abs(a)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return max(best_val, fc, fd)
 
 
 def frequency_bound(system, pert, sigma_min):

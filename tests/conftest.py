@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem
+from delaypsa import PerturbationSpec, TimeDelaySystem, numerics
+from delaypsa.discretization import level_approx
+from delaypsa.model import check_pair
 
 
 @pytest.fixture
@@ -53,3 +55,76 @@ def _stiff_plant(rng, n, m):
     mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
     delays = (0.0,) + tuple(np.sort(10.0 ** rng.uniform(-3.0, 1.0, m)))
     return TimeDelaySystem(delays, mats)
+
+
+def _wide_plant(rng, n, m):
+    # the wrong-basin reproducer's recipe (ROADMAP item 1)
+    mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
+# reference computations on the discretization, used only by tests
+
+
+def transfer_function(disc, lam):
+    """B_N^T (lam I - A_N)^{-1} B_N, the n x n transfer function at lam.
+
+    Equals the inverse of char_matrix_approx(disc, lam) wherever both are
+    defined; raises SingularMatrixError when lam is an eigenvalue of A_N.
+    """
+    dim = disc.state_matrix.shape[0]
+    x = numerics.solve_complex(
+        lam * np.eye(dim) - disc.state_matrix,
+        disc.input_matrix.astype(complex),
+    )
+    return disc.input_matrix.T @ x
+
+
+def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):
+    """sup over omega >= 0 of f_N(sigma + j*omega), one value per sigma.
+
+    Scans a uniform frequency grid on [0, omega_max] augmented with the
+    imaginary parts of the eigenvalues of the collocation matrix (the sup
+    turns into a narrow resonance spike as sigma approaches the discretized
+    spectral abscissa, and the eigenvalue frequencies sit at those spikes),
+    then sharpens the best candidate with golden-section search.
+    """
+    check_pair(disc.system, pert)
+    eig_im = np.abs(numerics.eig_real(disc.state_matrix).imag)
+    seeds = eig_im[eig_im <= omega_max]
+    base = np.linspace(0.0, omega_max, n_omega)
+    candidates = np.unique(np.concatenate([base, seeds]))
+    out = []
+    for sigma in np.atleast_1d(np.asarray(sigmas, dtype=float)):
+        vals = np.array([level_approx(disc, pert, sigma, w) for w in candidates])
+        k = int(np.argmax(vals))
+        lo = candidates[max(k - 1, 0)]
+        hi = candidates[min(k + 1, len(candidates) - 1)]
+        out.append(_golden_max(
+            lambda w: level_approx(disc, pert, sigma, w), lo, hi, vals[k]
+        ))
+    return np.array(out)
+
+
+def _golden_max(fun, lo, hi, best_val):
+    """Golden-section maximization on [lo, hi]; returns max(found, best_val)."""
+    if hi <= lo:
+        return best_val
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(80):
+        if b - a < 1e-12 * (1.0 + abs(a)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return max(best_val, fc, fd)

@@ -17,7 +17,6 @@ from delaypsa.corrector import (
     build_nleig,
     gauss_newton,
     jacobian,
-    residual,
     start_vector,
     sv_threshold,
 )
@@ -176,7 +175,7 @@ def test_start_vector_reproducible(random_system):
 
 def test_residual_zero_at_disk_solution():
     pert = PerturbationSpec((1.0,), 0.25)
-    r = residual(delay_free(0.3), pert, disk_state(0.3, 0.25))
+    r = jacobian(delay_free(0.3), pert, disk_state(0.3, 0.25))[0]
     assert np.linalg.norm(r) < 1e-10
 
 
@@ -185,7 +184,7 @@ def test_residual_length(one_delay, one_delay_pert):
         x=np.array([1.0 + 0j, 1.0 + 0j]), omega=1.0, sigma=0.0,
         anchor=np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     )
-    assert residual(one_delay, one_delay_pert, state).shape == (4 * 1 + 3,)
+    assert jacobian(one_delay, one_delay_pert, state)[0].shape == (4 * 1 + 3,)
 
 
 def test_residual_grows_linearly_near_solution():
@@ -195,7 +194,7 @@ def test_residual_grows_linearly_near_solution():
     for delta in (1e-3, 5e-4):
         state = disk_state(0.0, 0.25)
         state.sigma += delta
-        norms.append(np.linalg.norm(residual(sys0, pert, state)))
+        norms.append(np.linalg.norm(jacobian(sys0, pert, state)[0]))
     ratio = norms[0] / norms[1]
     assert 1.6 < ratio < 2.4
 
@@ -235,7 +234,7 @@ def test_jacobian_matches_finite_differences(random_system):
                                    state.anchor)
             minus.apply_step(-step)
             fd[:, k] = (
-                residual(system, pert, plus) - residual(system, pert, minus)
+                jacobian(system, pert, plus)[0] - jacobian(system, pert, minus)[0]
             ) / (2 * h)
         rel = np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-6
@@ -369,6 +368,22 @@ def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
 # --- correction driver -------------------------------------------------------
 
 
+def distinct_solutions(res, tol=1e-8):
+    """Converged (sigma, omega) pairs of a CorrectionResult, deduplicated
+    within tol-relative."""
+    out = []
+    for s in res.per_start:
+        if not s.converged:
+            continue
+        if not any(
+            abs(s.sigma - a) <= tol * (1.0 + abs(a))
+            and abs(s.omega - b) <= tol * (1.0 + abs(b))
+            for a, b in out
+        ):
+            out.append((s.sigma, s.omega))
+    return out
+
+
 def test_correct_one_delay_frozen(one_delay, one_delay_pert):
     pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     res = correct(one_delay, one_delay_pert, pred)
@@ -376,7 +391,7 @@ def test_correct_one_delay_frozen(one_delay, one_delay_pert):
     assert abs(res.omega_eps - OMEGA_EPS_ONE_DELAY) < 1e-8
     assert all(s.converged for s in res.per_start)
     # both predicted frequencies straddle one extremal point
-    assert len(res.distinct_solutions()) == 1
+    assert len(distinct_solutions(res)) == 1
 
 
 def test_corrected_point_sits_on_level_set(one_delay, one_delay_pert):

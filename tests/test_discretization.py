@@ -12,10 +12,9 @@ from delaypsa.discretization import (
     differentiation_matrix,
     lagrange_values,
     spectral_abscissa_approx,
-    transfer_function,
 )
 
-from conftest import delay_free
+from conftest import delay_free, transfer_function
 
 
 # --- mesh ---------------------------------------------------------------

@@ -25,10 +25,15 @@ from delaypsa.oracle import (
     _stitch,
     _weight_row,
     frequency_bound,
-    level_sup_profile,
 )
 
-from conftest import _criterion10_plant, _stiff_plant, delay_free
+from conftest import (
+    _criterion10_plant,
+    _stiff_plant,
+    _wide_plant,
+    delay_free,
+    level_sup_profile,
+)
 
 
 def disk_pert(eps):
@@ -568,12 +573,6 @@ def test_boundary_field_is_sound(recipe):
         placed += int(np.isnan(g).sum())
         mixed_cells += int(mixed.sum())
     assert placed > 0 and mixed_cells > 0
-
-
-def _wide_plant(rng, n, m):
-    mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
-    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m)))
-    return TimeDelaySystem(delays, mats)
 
 
 @pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,

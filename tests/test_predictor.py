@@ -5,11 +5,7 @@ import pytest
 
 from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
 from delaypsa import predictor
-from delaypsa.discretization import (
-    assemble,
-    spectral_abscissa_approx,
-    transfer_function,
-)
+from delaypsa.discretization import assemble, spectral_abscissa_approx
 from delaypsa.model import shift_system
 from delaypsa.numerics import svd_complex
 from delaypsa.predictor import (
@@ -20,7 +16,7 @@ from delaypsa.predictor import (
     spectral_abscissa_exact,
 )
 
-from conftest import _criterion10_plant, _stiff_plant, delay_free
+from conftest import _criterion10_plant, _stiff_plant, _wide_plant, delay_free
 
 # principal root pair of lam + exp(-lam) = 0, frozen from an independent
 # Newton iteration at 1e-14 residual
@@ -224,13 +220,6 @@ def test_predict_bound_exceeds_spectral_abscissa(random_system):
 
 
 # --- inside certificate ------------------------------------------------------
-
-
-def _wide_plant(rng, n, m):
-    # the wrong-basin reproducer's recipe (ROADMAP item 3)
-    mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
-    return TimeDelaySystem((0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m))),
-                           mats)
 
 
 @pytest.mark.parametrize("N", [4, 6, 15, 20])
