@@ -11,7 +11,9 @@ of complex lam where the level function
 exceeds 1/epsilon, with F the characteristic matrix.  f is evaluated
 through the smallest singular value, never by forming an inverse, and is
 +inf exactly at characteristic roots.  `char_matrix` and `eval_weight` are
-the only places that write F, w and their derivatives.
+the only places that write F, w and their derivatives, with one exception:
+`oracle._smallest_singular` builds its stacks of F in place, and a test
+holds it to char_matrix bit for bit.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .model import check_pair, eval_weight
+from .model import char_matrix, check_pair, eval_weight
 
 __all__ = [
     "RegionTooSmallError",
@@ -104,7 +104,7 @@ def _weight_row(system, pert, re):
 
 def grid_level(system, pert, region):
     """Level function f on the grid, shape (n_im, n_re); +inf at roots."""
-    _check_region(system, pert, region)
+    frequency_bound(system, pert, region.re_min)
     re, im = region.re_axis(), region.im_axis()
     smin = _smallest_singular(system, re[None, :] + 1j * im[:, None])
     with np.errstate(divide="ignore"):
@@ -130,7 +130,7 @@ def grid_psa(system, pert, region, refine_iters=3):
     raised.  Reported resolution is the final cell width along Re.  Nodes
     are placed by _place, so few are evaluated.
     """
-    _check_region(system, pert, region)
+    frequency_bound(system, pert, region.re_min)
     best_re, best_im = _rightmost_inside(system, pert, region, edge_rule=True)
     cell_re = (region.re_max - region.re_min) / (region.n_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.n_im - 1)
@@ -170,24 +170,20 @@ def frequency_bound(system, pert, sigma_min):
     """Upper bound on |lam| over pseudospectrum points with Re lam >= sigma_min.
 
     Any lam there satisfies |lam| <= sum_i ||A_i||_2 exp(-sigma_min tau_i)
-    + eps * w(sigma_min); useful for sizing oracle regions.
+    + eps * w(sigma_min); useful for sizing oracle regions.  Raises
+    ValueError when sigma_min is so far left that the bound overflows.
     """
     check_pair(system, pert)
-    total = pert.epsilon * eval_weight(pert, system, sigma_min)
-    for tau, a in zip(system.delays, system.matrices):
-        total += np.linalg.norm(a, 2) * math.exp(-sigma_min * tau)
-    return float(total)
-
-
-def _check_region(system, pert, region):
-    """check_pair, and reject a region where exp(-lam*tau) overflows."""
     try:
-        finite = math.isfinite(frequency_bound(system, pert, region.re_min))
+        total = pert.epsilon * eval_weight(pert, system, sigma_min)
+        for tau, a in zip(system.delays, system.matrices):
+            total += float(np.linalg.norm(a, 2)) * math.exp(-sigma_min * tau)
     except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"re_min = {region.re_min!r} is too far left: "
-                         "exp(-lam*tau) overflows on the region")
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"Re lam = {sigma_min!r} is too far left: "
+                         "exp(-lam*tau) overflows")
+    return total
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ def contours(system, pert, region):
     corners of the cells the boundary crosses (see _boundary_field), so
     the cost grows with the length of the boundary.
     """
-    _check_region(system, pert, region)
+    frequency_bound(system, pert, region.re_min)
     re, im = region.re_axis(), region.im_axis()
     g, inside, mixed = _boundary_field(system, pert, re, im)
     level = pert.epsilon
@@ -304,8 +300,7 @@ def _place(system, pert, re, im, rightmost=False):
     norms = [np.linalg.norm(a, 2) for a in system.matrices]
     z0 = complex(re[0] + re[-1], im[0] + im[-1]) / 2
     with np.errstate(over="ignore", invalid="ignore"):  # inf where it overflows
-        fp = np.eye(system.n) + sum(tau * np.exp(-tau * z0) * a for tau, a
-                                    in zip(system.delays, system.matrices))
+        fp = char_matrix(system, z0, 1)
         cap = abs(z0 - complex(re[0], im[0])) * sum(  # r * sup ||F''||
             tau * tau * na * np.exp(-tau * re[0])
             for tau, na in zip(system.delays, norms))

@@ -302,6 +302,16 @@ def test_frequency_bound_contains_extremal_point(one_delay, one_delay_pert):
     assert res.omega_eps <= frequency_bound(one_delay, one_delay_pert, sa)
 
 
+@pytest.mark.parametrize("scale, sigma_min", [(1.0, -30.0), (10.0, -23.6)])
+def test_frequency_bound_far_left_rejected(scale, sigma_min):
+    # tau = 30: exp(900) overflows math.exp; exp(708) is finite but the
+    # bound, 10 * exp(708) + ..., is not
+    eye = scale * np.eye(2)
+    system = TimeDelaySystem((0.0, 30.0), (eye, eye))
+    with pytest.raises(ValueError, match="too far left"):
+        frequency_bound(system, PerturbationSpec((1.0, 1.0), 0.1), sigma_min)
+
+
 def test_frequency_bound_disk_closed_form():
     # a=0: any pseudospectrum point obeys |lam| <= 0 + eps*w = eps
     bound = frequency_bound(delay_free(0.0), disk_pert(0.25), -0.1)
