@@ -41,8 +41,6 @@ from .oracle import (
 from .pipeline import compute_psa
 from .predictor import predict
 
-__all__ = ["load_system_file", "system_file_dict", "main"]
-
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON literal {token!r} is not allowed")

@@ -29,20 +29,6 @@ import numpy as np
 from . import numerics
 from .model import char_matrix, check_pair, eval_weight
 
-__all__ = [
-    "AllStartsFailedError",
-    "CorrectorState",
-    "GaussNewtonResult",
-    "StartOutcome",
-    "CorrectionResult",
-    "sv_threshold",
-    "build_nleig",
-    "start_vector",
-    "jacobian",
-    "gauss_newton",
-    "correct",
-]
-
 
 class AllStartsFailedError(numerics.DelayPsaError):
     """No Gauss-Newton start converged; the prediction cannot be corrected."""

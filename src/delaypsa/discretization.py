@@ -19,20 +19,6 @@ import numpy as np
 from . import numerics
 from .model import TimeDelaySystem, eval_weight
 
-__all__ = [
-    "SingularResolventError",
-    "Mesh",
-    "Discretization",
-    "chebyshev_mesh",
-    "differentiation_matrix",
-    "lagrange_values",
-    "assemble",
-    "rational_exp_nodes",
-    "char_matrix_approx",
-    "level_approx",
-    "spectral_abscissa_approx",
-]
-
 
 class SingularResolventError(numerics.DelayPsaError):
     """The interpolation resolvent (lam I - D11) is singular at this lam."""

@@ -25,16 +25,6 @@ import numpy as np
 
 from . import numerics
 
-__all__ = [
-    "TimeDelaySystem",
-    "PerturbationSpec",
-    "check_pair",
-    "char_matrix",
-    "eval_weight",
-    "eval_level",
-    "shift_system",
-]
-
 
 @dataclass(frozen=True)
 class TimeDelaySystem:

@@ -14,20 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DelayPsaError",
-    "NumericsError",
-    "NoConvergenceError",
-    "SingularMatrixError",
-    "RankDeficientError",
-    "SvdResult",
-    "eig_real",
-    "svd_complex",
-    "singular_values",
-    "solve_complex",
-    "least_squares_real",
-]
-
 
 class DelayPsaError(Exception):
     """Base class of the package's own exceptions (bad input raises ValueError)."""

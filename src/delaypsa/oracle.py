@@ -26,18 +26,6 @@ import numpy as np
 from . import numerics
 from .model import char_matrix, check_pair, eval_weight
 
-__all__ = [
-    "RegionTooSmallError",
-    "EmptyPseudospectrumError",
-    "GridRegion",
-    "GridPsaResult",
-    "ContourSet",
-    "grid_level",
-    "grid_psa",
-    "frequency_bound",
-    "contours",
-]
-
 _CHUNK = 200_000  # grid points per batched SVD call, bounds memory
 _STRIDES = (4, 2)  # lattices _place evaluates before the undecided nodes
 _MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from .corrector import CorrectionResult, correct
 from .predictor import PredictionResult, predict
 
-__all__ = ["PsaResult", "compute_psa"]
-
 
 @dataclass(frozen=True)
 class PsaResult:

@@ -32,17 +32,6 @@ from .discretization import (
 )
 from .model import char_matrix, check_pair, eval_weight, shift_system
 
-__all__ = [
-    "PredictionError",
-    "SpectralAbscissa",
-    "PredictionResult",
-    "spectral_abscissa_exact",
-    "hamiltonian",
-    "imaginary_axis_frequencies",
-    "bisect",
-    "predict",
-]
-
 
 class PredictionError(numerics.DelayPsaError):
     """Bisection failed (iteration budget, or no boundary frequencies found)."""
