@@ -170,7 +170,12 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
     `jacobian` linearization per iteration.  Stops when ||r|| <= gn_tol *
     (1 + scale) with scale = max ||A_i||_2 (gn_tol defaults to 1e-10), when
     the step collapses below 1e-14, after max_iter iterations, or on three
-    consecutive residual increases.
+    consecutive residual increases.  On convergence it takes one more step
+    from the Jacobian of the converged iterate, unless that Jacobian is
+    rank deficient, so the error no longer depends on the start; the
+    returned state is then one step past the last of residual_norms, which
+    holds only the norms evaluated, and the step is not counted in
+    iterations.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -193,6 +198,10 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
         if rn <= threshold:
             status = "converged"
             converged = True
+            try:  # polish with the Jacobian already built
+                state.apply_step(numerics.least_squares_real(jac, r))
+            except numerics.RankDeficientError:
+                pass
             break
         if stalled:
             status = "stalled"

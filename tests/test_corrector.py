@@ -314,6 +314,25 @@ def test_gauss_newton_rank_deficient_exit(monkeypatch):
     assert len(run.residual_norms) == 1
 
 
+def test_gauss_newton_keeps_converged_state_without_polish(monkeypatch):
+    # the polish step's solve fails: the converged iterate is returned as is
+    solve = numerics.least_squares_real
+
+    def deficient_when_converged(jac, res):
+        if np.linalg.norm(res) <= 1e-10:
+            raise numerics.RankDeficientError(3, jac.shape[1])
+        return solve(jac, res)
+
+    monkeypatch.setattr(numerics, "least_squares_real", deficient_when_converged)
+    system, pert = delay_free(0.0), PerturbationSpec((1.0,), 0.25)
+    run = gauss_newton(system, pert, _off_disk_state())
+    assert run.converged and run.status == "converged"
+    assert run.iterations >= 1
+    assert len(run.residual_norms) == run.iterations + 1
+    r = jacobian(system, pert, run.state)[0]
+    assert np.linalg.norm(r) == run.residual_norms[-1]
+
+
 def test_gauss_newton_stalled_exit(monkeypatch):
     monkeypatch.setattr(numerics, "least_squares_real",
                         lambda jac, res: np.zeros(jac.shape[1]))

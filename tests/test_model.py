@@ -13,7 +13,7 @@ from delaypsa import (
 )
 from delaypsa.model import check_pair
 
-from conftest import delay_free
+from conftest import _criterion10_plant, _stiff_plant, _wide_plant, delay_free
 
 
 def test_valid_delay_free_scalar():
@@ -164,6 +164,25 @@ def test_shift_preserves_level_function(random_system):
             a = eval_level(shifted, spert, mu)
             b = eval_level(system, pert, mu + alpha)
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _wide_plant])
+def test_shifted_char_matrix_is_char_matrix_at_shifted_point(recipe):
+    # F_s(mu) = F(mu + s) with its derivatives, so the corrector can skip
+    # the shift and evaluate F at sigma + j*omega
+    for seed in range(10):
+        rng = np.random.default_rng([41, seed])
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (m + 1), 0.1)
+        s = float(rng.uniform(-1.0, 1.0))
+        shifted = shift_system(system, pert, s)[0]
+        mu = complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
+        for k in range(3):
+            want = char_matrix(system, mu + s, k)
+            got = char_matrix(shifted, mu, k)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_shift_keeps_infinite_weights(one_delay):

@@ -16,7 +16,7 @@ from delaypsa import (
     shift_system,
 )
 
-from conftest import delay_free
+from conftest import _criterion10_plant, delay_free
 
 _REGION = GridRegion(-1.0, 0.5, 0.0, 2.0, 5, 5)
 _PREDICTION = PredictionResult(alpha_pred=-0.2, frequencies=np.array([1.3]),
@@ -76,3 +76,14 @@ def test_scale_invariance_of_the_disk():
         res = compute_psa(delay_free(a), PerturbationSpec((1.0,), eps),
                           tol=1e-6)
         assert abs(res.alpha_eps - (a + eps)) < 1e-8 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_alpha_does_not_depend_on_the_prediction(seed):
+    # a finer prediction starts Gauss-Newton elsewhere; the polish step
+    # leaves both answers at the same converged value
+    system = _criterion10_plant(np.random.default_rng(100 + seed), 10, 7)
+    pert = PerturbationSpec((1.0,) * 8, 0.01)
+    coarse = compute_psa(system, pert, tol=1e-3).alpha_eps
+    fine = compute_psa(system, pert, tol=1e-6).alpha_eps
+    assert abs(coarse - fine) <= 1e-12 * abs(fine)
