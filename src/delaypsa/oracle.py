@@ -165,6 +165,7 @@ def frequency_bound(system, pert, sigma_min):
     try:
         total = pert.epsilon * eval_weight(pert, system, sigma_min)
         for tau, a in zip(system.delays, system.matrices):
+            # float: an overflowing product is inf, not a numpy warning
             total += float(np.linalg.norm(a, 2)) * math.exp(-sigma_min * tau)
     except OverflowError:
         total = math.inf
