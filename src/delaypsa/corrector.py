@@ -15,8 +15,8 @@ Gauss-Newton with the analytic Jacobian.  Starts come straight from the
 predictor's frequency list.  The equations are posed on the exact F of the
 caller's system: the predictor recenters only for its rational
 approximation, and the recentered F at j*omega is F(sigma + j*omega)
-exactly (see `model.shift_system`).  F, F' and F'' come from
-`model.char_matrix`; each Gauss-Newton step makes one `jacobian` call.
+exactly.  F, F' and F'' come from `model.char_matrix`; each Gauss-Newton
+step makes one `jacobian` call.
 """
 
 from __future__ import annotations
