@@ -102,6 +102,11 @@ class CorrectorState:
             self.omega = -self.omega
 
 
+def residual(system, pert, state):
+    """Real residual vector r, length 4n+3, as returned by `jacobian`."""
+    return jacobian(system, pert, state)[0]
+
+
 def _put_real_form(jac, row, mat):
     """Write z -> mat z as [[Re mat, -Im mat], [Im mat, Re mat]] at jac[row, 0]."""
     p, q = mat.shape
@@ -254,7 +259,7 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     """Correct a prediction: one Gauss-Newton run per predicted frequency.
 
     Start vectors are the smallest singular vectors of the doubled matrix at
-    (j*omega_i, alpha_pred); each converged run lands on an extremal point
+    lam = alpha_pred + j*omega_i; each converged run lands on an extremal point
     of the pseudospectrum boundary, and the corrected abscissa is the
     largest corrected sigma.  Raises AllStartsFailedError when nothing
     converges; warns when the correction moves further than 10 x the
