@@ -74,8 +74,6 @@ def load_system_file(path):
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     delays = [float(t) for t in raw["delays"]]
-    if any(math.isnan(t) or t <= 0.0 for t in delays):
-        raise ValueError("delays must be positive finite numbers")
     mats = [_as_matrix(raw["A0"], n, "A0")]
     if len(raw["A"]) != len(delays):
         raise ValueError(
@@ -87,19 +85,6 @@ def load_system_file(path):
     system = TimeDelaySystem((0.0, *delays), tuple(mats))
     pert = PerturbationSpec(tuple(weights), float(raw["epsilon"]))
     return str(raw.get("name", "unnamed")), system, pert
-
-
-def system_file_dict(name, system, pert):
-    """Round-trippable dict in the system file layout."""
-    return {
-        "name": name,
-        "n": system.n,
-        "delays": list(system.delays[1:]),
-        "A0": system.matrices[0].tolist(),
-        "A": [a.tolist() for a in system.matrices[1:]],
-        "weights": ["inf" if math.isinf(w) else w for w in pert.weights],
-        "epsilon": pert.epsilon,
-    }
 
 
 def _write(text, output):
@@ -127,7 +112,7 @@ def cmd_compute(args):
     t0 = time.perf_counter()
     try:
         result = compute_psa(system, pert, N=args.N, tol=args.tol,
-                             gn_tol=args.gn_tol, max_iter_bisect=args.max_iter)
+                             gn_tol=args.gn_tol)
     except AllStartsFailedError as exc:
         record = {"name": name, "error": str(exc),
                   "N": args.N, "tol": args.tol}
@@ -160,8 +145,7 @@ def cmd_contour(args):
     pert = _override_epsilon(pert, args.epsilon)
     region = _region_from_args(args)
     curves = contours(system, pert, region)
-    prediction = predict(system, pert, N=args.N, tol=args.tol,
-                         max_iter=args.max_iter)
+    prediction = predict(system, pert, N=args.N, tol=args.tol)
     lines = [
         f"# name={name}",
         f"# level={curves.level!r}",
@@ -202,7 +186,7 @@ def cmd_oracle(args):
     }
     if args.compare:
         psa = compute_psa(system, pert, N=args.N, tol=args.tol,
-                          gn_tol=args.gn_tol, max_iter_bisect=args.max_iter)
+                          gn_tol=args.gn_tol)
         record["alpha_eps"] = psa.alpha_eps
         record["gap"] = abs(psa.alpha_eps - result.value)
     _write(json.dumps(record, indent=2) + "\n", args.output)
@@ -226,8 +210,6 @@ def _build_parser():
                        help="override the file's perturbation size")
         p.add_argument("--gn-tol", type=float, default=None, dest="gn_tol",
                        help="Gauss-Newton residual tolerance (default 1e-10, scaled)")
-        p.add_argument("--max-iter", type=int, default=100, dest="max_iter",
-                       help="bisection iteration budget (default 100)")
         p.add_argument("--output", default=None,
                        help="write the result here instead of stdout")
 

@@ -22,12 +22,14 @@ step makes one `jacobian` call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .model import char_matrix, check_pair, eval_weight
+
+GN_MAX_ITER = 50  # Gauss-Newton iterations per start
 
 
 class AllStartsFailedError(numerics.DelayPsaError):
@@ -161,26 +163,36 @@ def jacobian(system, pert, state):
 
 @dataclass(frozen=True)
 class GaussNewtonResult:
+    """One Gauss-Newton run: where the iteration went and how it ended."""
+
     state: CorrectorState
     converged: bool
     status: str  # converged | max-iterations | diverged | rank-deficient | stalled
     iterations: int
     residual_norms: tuple
 
+    @property
+    def sigma(self):
+        return self.state.sigma
 
-def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
+    @property
+    def omega(self):
+        return self.state.omega
+
+
+def gauss_newton(system, pert, start, gn_tol=None):
     """Solve the extremality system from a CorrectorState start.
 
     Full-step Gauss-Newton through a dense least-squares solve, with one
     `jacobian` linearization per iteration.  Stops when ||r|| <= gn_tol *
     (1 + scale) with scale = max ||A_i||_2 (gn_tol defaults to 1e-10), when
-    the step collapses below 1e-14, after max_iter iterations, or on three
-    consecutive residual increases.  On convergence it takes one more step
-    from the Jacobian of the converged iterate, unless that Jacobian is
-    rank deficient, so the error no longer depends on the start; the
+    the step collapses below 1e-14, after GN_MAX_ITER iterations, or on
+    three consecutive residual increases.  On convergence it takes one more
+    step from the Jacobian of the converged iterate, unless that Jacobian
+    is rank deficient, so the error no longer depends on the start; the
     returned state is then one step past the last of residual_norms, which
     holds only the norms evaluated, and the step is not counted in
-    iterations.
+    iterations.  The result is also `correct`'s per-start record.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -196,7 +208,7 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
     status = "max-iterations"
     converged = False
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(GN_MAX_ITER + 1):
         r, jac = jacobian(system, pert, state)
         rn = float(np.linalg.norm(r))
         norms.append(rn)
@@ -218,7 +230,7 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
                 break
         else:
             grew = 0
-        if iterations == max_iter:
+        if iterations == GN_MAX_ITER:
             break
         try:
             step = numerics.least_squares_real(jac, r)
@@ -233,21 +245,11 @@ def gauss_newton(system, pert, start, gn_tol=None, max_iter=50):
 
 
 @dataclass(frozen=True)
-class StartOutcome:
-    """Per-start record: where the iteration went and how it ended."""
-
-    converged: bool
-    sigma: float
-    omega: float
-    iterations: int
-    residual_norm: float
-    status: str
-    residual_norms: tuple = field(repr=False, default=())
-
-
-@dataclass(frozen=True)
 class CorrectionResult:
-    """Corrected abscissa (max over converged starts) and diagnostics."""
+    """Corrected abscissa (max over converged starts) and diagnostics.
+
+    per_start holds the GaussNewtonResult of each start, in frequency order.
+    """
 
     alpha_eps: float
     omega_eps: float
@@ -255,15 +257,15 @@ class CorrectionResult:
     warnings: tuple = ()
 
 
-def correct(system, pert, prediction, gn_tol=None, max_iter=50):
+def correct(system, pert, prediction, gn_tol=None):
     """Correct a prediction: one Gauss-Newton run per predicted frequency.
 
     Start vectors are the smallest singular vectors of the doubled matrix at
     lam = alpha_pred + j*omega_i; each converged run lands on an extremal point
     of the pseudospectrum boundary, and the corrected abscissa is the
-    largest corrected sigma.  Raises AllStartsFailedError when nothing
-    converges; warns when the correction moves further than 10 x the
-    prediction bracket width.
+    largest corrected sigma.  gn_tol is passed to `gauss_newton`.  Raises
+    AllStartsFailedError when nothing converges; warns when the correction
+    moves further than 10 x the prediction bracket width.
     """
     check_pair(system, pert)
     freqs = np.atleast_1d(np.asarray(prediction.frequencies, dtype=float))
@@ -275,17 +277,7 @@ def correct(system, pert, prediction, gn_tol=None, max_iter=50):
     for omega0 in freqs:
         x0 = start_vector(build_nleig(system, complex(sigma0, omega0), xi0))
         state0 = CorrectorState(x=x0, omega=float(omega0), sigma=sigma0, anchor=x0)
-        run = gauss_newton(system, pert, state0, gn_tol=gn_tol,
-                           max_iter=max_iter)
-        outcomes.append(StartOutcome(
-            converged=run.converged,
-            sigma=run.state.sigma,
-            omega=run.state.omega,
-            iterations=run.iterations,
-            residual_norm=run.residual_norms[-1],
-            status=run.status,
-            residual_norms=run.residual_norms,
-        ))
+        outcomes.append(gauss_newton(system, pert, state0, gn_tol=gn_tol))
     winners = [s for s in outcomes if s.converged]
     if not winners:
         raise AllStartsFailedError(

@@ -204,15 +204,9 @@ def char_matrix_approx(disc, lam):
 def level_approx(disc, pert, sigma, omega):
     """Discretized level function f_N(sigma + j*omega) = w(sigma) / sigma_min(F_N).
 
-    On a pole of the rational interpolant lam is nudged right by
-    1e-9 * (1 + |lam|); a second pole there raises SingularResolventError.
+    Raises SingularResolventError on a pole of the rational interpolant.
     """
-    lam = complex(sigma, omega)
-    try:
-        fmat = char_matrix_approx(disc, lam)
-    except SingularResolventError:
-        # poles of the rational interpolant are isolated; nudge off of one
-        fmat = char_matrix_approx(disc, lam + 1e-9 * (1.0 + abs(lam)))
+    fmat = char_matrix_approx(disc, complex(sigma, omega))
     smin = numerics.svd_complex(fmat).values[-1]
     w = eval_weight(pert, disc.system, sigma)
     if smin == 0.0:

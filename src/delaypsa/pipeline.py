@@ -22,17 +22,17 @@ class PsaResult:
         return self.prediction.warnings + self.correction.warnings
 
 
-def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None, max_iter_bisect=100):
+def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None):
     """Compute the epsilon-pseudospectral abscissa of a retarded system.
 
     Runs the Hamiltonian bisection predictor at mesh order N to bracket the
     abscissa within tol, then Gauss-Newton corrects every predicted
-    boundary frequency on the exact extremality equations (at most 50
-    iterations per frequency).  Returns a PsaResult; raises
-    corrector.AllStartsFailedError when no correction start converges.
+    boundary frequency on the exact extremality equations to residual
+    tolerance gn_tol.  The iteration budgets are fixed constants
+    (predictor.BISECT_MAX_ITER, corrector.GN_MAX_ITER).  Returns a
+    PsaResult; raises corrector.AllStartsFailedError when no start converges.
     """
-    prediction = predict(system, pert, N=N, tol=tol,
-                         max_iter=max_iter_bisect)
+    prediction = predict(system, pert, N=N, tol=tol)
     correction = correct(system, pert, prediction, gn_tol=gn_tol)
     return PsaResult(
         alpha_eps=correction.alpha_eps,

@@ -19,7 +19,7 @@ that certificate fails (see `bisect`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +33,29 @@ from .discretization import (
 from .model import char_matrix, check_pair, eval_weight, shift_system
 
 
+BISECT_MAX_ITER = 100  # bisection steps, doubling steps included
+
+
 class PredictionError(numerics.DelayPsaError):
     """Bisection failed (iteration budget, or no boundary frequencies found)."""
 
 
 @dataclass(frozen=True)
 class SpectralAbscissa:
-    """Rightmost-root estimate: value, the converged roots, fallback flag."""
+    """Rightmost-root estimate: value and the converged roots (empty on fallback)."""
 
     value: float
     roots: tuple
-    fallback: bool
 
 
 @dataclass(frozen=True)
 class PredictionResult:
     """Predicted abscissa, boundary frequencies and bisection diagnostics.
 
-    alpha_pred and the bracket are reported in the original (unshifted)
-    spectral coordinates; shift_used records the recentering applied before
-    discretization and roots the characteristic roots found there (those of
-    `spectral_abscissa_exact`; empty from `bisect` alone). Frequencies are
+    Built by `predict`.  alpha_pred and the bracket are reported in the
+    original (unshifted) spectral coordinates; shift_used records the
+    recentering applied before discretization and roots the characteristic
+    roots that set it (those of `spectral_abscissa_exact`).  Frequencies are
     folded to omega >= 0, sorted, and deduplicated within 1e-8 * (1 + omega).
     """
 
@@ -104,7 +106,7 @@ def spectral_abscissa_exact(system, disc):
     Newton-corrects the 10 rightmost eigenvalues of the collocation matrix
     on the exact root equations F(lam) v = 0, c* v = 1 (at most 40 steps
     each, to a residual of 1e-12 * (1 + max ||A_i||_2)).  Falls back to the
-    discretized abscissa (with the fallback flag set) if no start converges.
+    discretized abscissa, with no roots, if no start converges.
     """
     vals = numerics.eig_real(disc.state_matrix)
     starts = vals[np.argsort(-vals.real)][:10]
@@ -116,10 +118,10 @@ def spectral_abscissa_exact(system, disc):
             if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
                 roots.append(lam)
     if not roots:
-        return SpectralAbscissa(spectral_abscissa_approx(disc), (), True)
+        return SpectralAbscissa(spectral_abscissa_approx(disc), ())
     value = max(r.real for r in roots)
     roots.sort(key=lambda r: (-r.real, abs(r.imag)))
-    return SpectralAbscissa(float(value), tuple(roots), False)
+    return SpectralAbscissa(float(value), tuple(roots))
 
 
 def hamiltonian(disc, pert, sigma):
@@ -155,9 +157,9 @@ def _inside_certificate(disc, pert, sigma, candidates):
     norm of the transfer function along Re = sigma exceed 1/(eps w(sigma));
     as that norm decays to 0 at infinite frequency, the threshold is met at
     some real omega*, so H(sigma) has the imaginary eigenvalue j*omega*.  A
-    1e-8 relative margin keeps the verdict clear of rounding.  The pole
-    nudge in level_approx moves right, which for sigma > alpha(A_N) can only
-    lower the transfer-function norm's sup, so the implication survives it.
+    1e-8 relative margin keeps the verdict clear of rounding.  A candidate
+    on a pole of the rational interpolant proves nothing and is skipped; if
+    every candidate is skipped, the eigensolve decides.
     """
     threshold = 1.0 / ((1.0 - 1e-8) * pert.epsilon)
     for k, omega in enumerate(candidates):
@@ -169,7 +171,7 @@ def _inside_certificate(disc, pert, sigma, candidates):
     return None
 
 
-def bisect(disc, pert, tol, max_iter=100, shift=0.0):
+def bisect(disc, pert, tol):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
     Starts from sigma_lo = alpha(A_N) with the upper end at infinity; the
@@ -181,10 +183,11 @@ def bisect(disc, pert, tol, max_iter=100, shift=0.0):
     verdict, so the sigma sequence is the same as with eigensolves alone.
     Candidates are the last certified frequency, then the midpoints of the
     last eigensolve's crossings, initially the frequency of the rightmost
-    eigenvalue of A_N.  The returned alpha_pred is the final lower end
-    (inside the level set); frequencies are read off the test matrix there,
-    reusing the eigensolve that set sigma_lo when there was one.  `shift`
-    only relabels the output coordinates (sigma -> sigma + shift).
+    eigenvalue of A_N.  Returns (sigma_lo, sigma_hi, frequencies, iterations)
+    in the coordinates of disc: sigma_lo is the final lower end (inside the
+    level set), and the frequencies are read off the test matrix there,
+    reusing the eigensolve that set sigma_lo when there was one.  Raises
+    PredictionError after BISECT_MAX_ITER steps.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -197,9 +200,9 @@ def bisect(disc, pert, tol, max_iter=100, shift=0.0):
     delta = tol
     iterations = 0
     while sigma_hi - sigma_lo > tol:
-        if iterations >= max_iter:
+        if iterations >= BISECT_MAX_ITER:
             raise PredictionError(
-                f"bisection did not reach width {tol} in {max_iter} iterations"
+                f"bisection did not reach width {tol} in {BISECT_MAX_ITER} iterations"
             )
         if math.isinf(sigma_hi):
             delta *= 2.0
@@ -227,32 +230,33 @@ def bisect(disc, pert, tol, max_iter=100, shift=0.0):
             "no boundary frequencies at the final lower bound; "
             "the imaginary-axis tolerance is too tight for this problem"
         )
-    return PredictionResult(
-        alpha_pred=shift + sigma_lo,
-        frequencies=freqs_lo,
-        iterations=iterations,
-        bracket=(shift + sigma_lo, shift + sigma_hi),
-        shift_used=shift,
-    )
+    return sigma_lo, sigma_hi, freqs_lo, iterations
 
 
-def predict(system, pert, N=15, tol=1e-3, max_iter=100):
+def predict(system, pert, N=15, tol=1e-3):
     """Predict the pseudospectral abscissa at mesh order N.
 
     Recenter the system at its exact spectral abscissa (so the
     discretization is most accurate where the level set is resolved), run
-    the Hamiltonian bisection there, and report in original coordinates.
+    the Hamiltonian bisection there to width tol, and report in original
+    coordinates, with a warning when the shift is the discretized abscissa.
     """
     check_pair(system, pert)
     disc0 = assemble(system, N)
     sa = spectral_abscissa_exact(system, disc0)
     shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
     disc = assemble(shifted_sys, N)
-    result = bisect(disc, shifted_pert, tol, max_iter=max_iter, shift=sa.value)
-    result = replace(result, roots=sa.roots)
-    if sa.fallback:
-        result = replace(result, warnings=result.warnings + (
-            "spectral abscissa: Newton correction failed for every start; "
-            "using the discretized abscissa as the shift",
-        ))
-    return result
+    sigma_lo, sigma_hi, freqs, iterations = bisect(disc, shifted_pert, tol)
+    warnings = () if sa.roots else (
+        "spectral abscissa: Newton correction failed for every start; "
+        "using the discretized abscissa as the shift",
+    )
+    return PredictionResult(
+        alpha_pred=sa.value + sigma_lo,
+        frequencies=freqs,
+        iterations=iterations,
+        bracket=(sa.value + sigma_lo, sa.value + sigma_hi),
+        shift_used=sa.value,
+        warnings=warnings,
+        roots=sa.roots,
+    )

@@ -147,20 +147,18 @@ def test_criterion_05_monotone_profile():
     far = level_sup_profile(disc, pert, [alpha + 1e3 * scale], wmax)[0]
     near = level_sup_profile(disc, pert, [alpha + 1e-6 * scale], wmax)[0]
     tol = 1e-6
-    res = bisect(disc, pert, tol=tol)
-    lo, hi = res.bracket
+    lo, hi, _, _ = bisect(disc, pert, tol=tol)  # alpha_pred is lo
     p_lo = level_sup_profile(disc, pert, [lo], wmax)[0]
     p_hi = level_sup_profile(disc, pert, [hi], wmax)[0]
-    p_at = level_sup_profile(disc, pert, [res.alpha_pred], wmax)[0]
     level = 1.0 / pert.epsilon
     brackets = p_lo >= level >= p_hi
     slope = (p_lo - p_hi) / (hi - lo)
-    consistent = abs(p_at - level) <= 3.0 * slope * tol
+    consistent = abs(p_lo - level) <= 3.0 * slope * tol
     ok = decreasing and far < 1e-3 and near > 1e3 and brackets and consistent
     report(5, "monotone level profile", ok,
            f"strictly decreasing {decreasing}, far {far:.1e} (<1e-3), "
            f"near {near:.1e} (>1e3), bracket {brackets}, "
-           f"|profile(alpha)-1/eps| {abs(p_at - level):.1e} "
+           f"|profile(alpha)-1/eps| {abs(p_lo - level):.1e} "
            f"(<= {3.0 * slope * tol:.1e})")
 
 

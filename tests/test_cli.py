@@ -34,6 +34,19 @@ def write_file(tmp_path, payload, name="system.json"):
     return str(path)
 
 
+def system_file_dict(name, system, pert):
+    """Round-trippable dict in the system file layout."""
+    return {
+        "name": name,
+        "n": system.n,
+        "delays": list(system.delays[1:]),
+        "A0": system.matrices[0].tolist(),
+        "A": [a.tolist() for a in system.matrices[1:]],
+        "weights": ["inf" if math.isinf(w) else w for w in pert.weights],
+        "epsilon": pert.epsilon,
+    }
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -46,7 +59,7 @@ def run(capsys, *argv):
 def test_round_trip(tmp_path):
     path = write_file(tmp_path, ONE_DELAY)
     name, system, pert = cli.load_system_file(path)
-    again = cli.system_file_dict(name, system, pert)
+    again = system_file_dict(name, system, pert)
     assert again == ONE_DELAY
 
 
@@ -55,7 +68,7 @@ def test_round_trip_infinite_weight(tmp_path):
     path = write_file(tmp_path, payload)
     name, system, pert = cli.load_system_file(path)
     assert math.isinf(pert.weights[1])
-    assert cli.system_file_dict(name, system, pert)["weights"] == [1.0, "inf"]
+    assert system_file_dict(name, system, pert)["weights"] == [1.0, "inf"]
 
 
 def test_load_rejects_missing_fields(tmp_path):

@@ -11,6 +11,7 @@ from delaypsa import (
     numerics,
     predict,
 )
+from delaypsa import corrector
 from delaypsa.corrector import (
     AllStartsFailedError,
     CorrectorState,
@@ -284,7 +285,7 @@ def test_gauss_newton_folds_negated_frequency(one_delay, one_delay_pert):
     assert abs(run.state.omega - base.omega_eps) < 1e-8
 
 
-def test_gauss_newton_budget_status(one_delay, one_delay_pert):
+def test_gauss_newton_budget_status(monkeypatch, one_delay, one_delay_pert):
     pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     sigma0 = pred.alpha_pred
     shifted, _ = shift_system(one_delay, one_delay_pert, sigma0)
@@ -292,7 +293,8 @@ def test_gauss_newton_budget_status(one_delay, one_delay_pert):
     x0 = start_vector(build_nleig(shifted, 1j * float(pred.frequencies[0]), xi0))
     state0 = CorrectorState(x=x0, omega=float(pred.frequencies[0]),
                             sigma=sigma0, anchor=x0.copy())
-    run = gauss_newton(one_delay, one_delay_pert, state0, max_iter=0)
+    monkeypatch.setattr(corrector, "GN_MAX_ITER", 0)
+    run = gauss_newton(one_delay, one_delay_pert, state0)
     assert not run.converged and run.status == "max-iterations"
 
 
@@ -425,7 +427,7 @@ def test_corrected_point_sits_on_level_set(one_delay, one_delay_pert):
 def test_correct_reports_failures(one_delay, one_delay_pert):
     pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     with pytest.raises(AllStartsFailedError):
-        correct(one_delay, one_delay_pert, pred, max_iter=0)
+        correct(one_delay, one_delay_pert, pred, gn_tol=1e-30)
 
 
 def test_correct_requires_frequencies(one_delay, one_delay_pert):

@@ -5,7 +5,11 @@ import pytest
 
 from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
 from delaypsa import predictor
-from delaypsa.discretization import assemble, spectral_abscissa_approx
+from delaypsa.discretization import (
+    SingularResolventError,
+    assemble,
+    spectral_abscissa_approx,
+)
 from delaypsa.model import shift_system
 from delaypsa.numerics import svd_complex
 from delaypsa.predictor import (
@@ -29,7 +33,7 @@ OMEGA_PRINCIPAL = 1.337235701430689
 
 def test_abscissa_one_delay_frozen(one_delay):
     sa = spectral_abscissa_exact(one_delay, assemble(one_delay, 15))
-    assert not sa.fallback
+    assert sa.roots
     assert abs(sa.value - SA_ONE_DELAY) < 1e-10
     principal = sa.roots[0]
     assert abs(principal.real - SA_ONE_DELAY) < 1e-10
@@ -155,26 +159,19 @@ def test_frequencies_match_dense_level_scan(one_delay, one_delay_pert):
 def test_bisect_disk_quarter():
     pert = PerturbationSpec((1.0,), 0.25)
     disc = assemble(delay_free(0.0), 0)
-    res = bisect(disc, pert, tol=1e-6)
-    assert abs(res.alpha_pred - 0.25) < 1e-6
-    assert res.bracket[1] - res.bracket[0] <= 1e-6
+    sigma_lo, sigma_hi, freqs, _ = bisect(disc, pert, tol=1e-6)
+    assert abs(sigma_lo - 0.25) < 1e-6
+    assert sigma_hi - sigma_lo <= 1e-6
     # the boundary frequency at the lower end is nearly zero
-    assert res.frequencies[0] < 1e-3
-
-
-def test_bisect_disk_shifted_coordinates():
-    pert = PerturbationSpec((1.0,), 0.5)
-    disc = assemble(delay_free(0.0), 0)
-    res = bisect(disc, pert, tol=1e-4, shift=1.0)
-    assert abs(res.alpha_pred - 1.5) < 1e-4
-    assert res.shift_used == 1.0
+    assert freqs[0] < 1e-3
 
 
 def test_bisect_respects_budget():
+    # doubling from 1e-300 up to the disk's radius takes about 1000 steps
     pert = PerturbationSpec((1.0,), 0.25)
     disc = assemble(delay_free(0.0), 0)
-    with pytest.raises(PredictionError, match="iterations"):
-        bisect(disc, pert, tol=1e-12, max_iter=3)
+    with pytest.raises(PredictionError, match="100 iterations"):
+        bisect(disc, pert, tol=1e-300)
 
 
 def test_bisect_rejects_bad_tol():
@@ -184,6 +181,14 @@ def test_bisect_rejects_bad_tol():
 
 
 # --- end-to-end prediction ---------------------------------------------------
+
+
+def test_predict_disk_shifted_coordinates():
+    # the disk |z - 1| <= 0.5: bisection runs recentered at the root 1.0
+    pert = PerturbationSpec((1.0,), 0.5)
+    res = predict(delay_free(1.0), pert, N=0, tol=1e-4)
+    assert abs(res.alpha_pred - 1.5) < 1e-4
+    assert res.shift_used == 1.0
 
 
 def test_predict_one_delay_frozen(one_delay, one_delay_pert):
@@ -250,7 +255,7 @@ def test_certificate_implies_crossings(monkeypatch, recipe, N):
     assert [c for c in checked if c[2] == 0] == []
 
 
-def _reference_bisect(disc, pert, tol, shift):
+def _reference_bisect(disc, pert, tol):
     """The bisection with an eigensolve at every step and at the end."""
     sigma_lo = spectral_abscissa_approx(disc)
     sigma_hi = math.inf
@@ -268,14 +273,13 @@ def _reference_bisect(disc, pert, tol, shift):
             sigma_hi = sigma_mid
         iterations += 1
     freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
-    return (shift + sigma_lo, (shift + sigma_lo, shift + sigma_hi),
-            iterations, freqs)
+    return sigma_lo, sigma_hi, freqs, iterations
 
 
 def _shifted_disc(system, pert, N):
     sa = spectral_abscissa_exact(system, assemble(system, N)).value
     shifted_sys, shifted_pert = shift_system(system, pert, sa)
-    return assemble(shifted_sys, N), shifted_pert, sa
+    return assemble(shifted_sys, N), shifted_pert
 
 
 @pytest.fixture(scope="module")
@@ -285,28 +289,48 @@ def large_plant():
     return system, PerturbationSpec((1.0,) * 8, 0.05)
 
 
-def _assert_matches_reference(disc, pert, tol, shift):
-    res = bisect(disc, pert, tol, shift=shift)
-    alpha, bracket, iterations, freqs = _reference_bisect(disc, pert, tol, shift)
-    assert res.alpha_pred == alpha
-    assert res.bracket == bracket
-    assert res.iterations == iterations
-    assert np.array_equal(res.frequencies, freqs)
+def _assert_matches_reference(disc, pert, tol):
+    sigma_lo, sigma_hi, freqs, iterations = bisect(disc, pert, tol)
+    ref_lo, ref_hi, ref_freqs, ref_iterations = _reference_bisect(disc, pert, tol)
+    assert (sigma_lo, sigma_hi, iterations) == (ref_lo, ref_hi, ref_iterations)
+    assert np.array_equal(freqs, ref_freqs)
+    return iterations
 
 
 def test_bisect_matches_reference_disk():
     pert = PerturbationSpec((1.0,), 0.25)
-    _assert_matches_reference(assemble(delay_free(0.0), 0), pert, 1e-6, 0.0)
+    _assert_matches_reference(assemble(delay_free(0.0), 0), pert, 1e-6)
 
 
 def test_bisect_matches_reference_one_delay(one_delay, one_delay_pert):
-    disc, pert, sa = _shifted_disc(one_delay, one_delay_pert, 15)
-    _assert_matches_reference(disc, pert, 1e-6, sa)
+    _assert_matches_reference(*_shifted_disc(one_delay, one_delay_pert, 15), 1e-6)
+
+
+def test_bisect_matches_reference_on_poles(monkeypatch, one_delay,
+                                           one_delay_pert):
+    # with every candidate on a pole of the rational interpolant, the
+    # certificate skips them all and the eigensolve decides each step
+    poles, solves = [], []
+    level_test = predictor.imaginary_axis_frequencies
+
+    def on_pole(*args):
+        poles.append(args)
+        raise SingularResolventError("pole")
+
+    def counted(ham):
+        solves.append(1)
+        return level_test(ham)
+
+    disc, pert = _shifted_disc(one_delay, one_delay_pert, 15)
+    monkeypatch.setattr(predictor, "level_approx", on_pole)
+    monkeypatch.setattr(predictor, "imaginary_axis_frequencies", counted)
+    iterations = _assert_matches_reference(disc, pert, 1e-6)
+    assert len(poles) >= iterations
+    assert len(solves) >= iterations
 
 
 def test_bisect_matches_reference_large(large_plant):
-    disc, pert, sa = _shifted_disc(*large_plant, 15)
-    _assert_matches_reference(disc, pert, 1e-6, sa)
+    _assert_matches_reference(*_shifted_disc(*large_plant, 15), 1e-6)
 
 
 def test_predict_eigensolve_count_large(monkeypatch, large_plant):
