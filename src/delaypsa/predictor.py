@@ -1,4 +1,4 @@
-"""Level-set prediction of the pseudospectral abscissa via Hamiltonian bisection.
+"""Level-set prediction of the pseudospectral abscissa via Hamiltonian tests.
 
 For the discretized system the weighted resolvent norm along a vertical
 line Re lam = sigma can be tested against the threshold 1/epsilon without
@@ -8,12 +8,11 @@ scanning frequencies: the test matrix
                 [-(w(sigma) eps) B_N B_N^T,  -(A_N - sigma I)^T]]
 
 has imaginary-axis eigenvalues exactly when the line still meets the
-approximate pseudospectrum.  Bisection on sigma (with exponential search
-for the initial upper bound) yields the predicted abscissa together with
-the frequencies where the line touches the level set; both seed the
-corrector.  Most trial sigmas are proved inside by one n x n singular
-value at a candidate frequency, so the eigensolve of H runs only where
-that certificate fails (see `bisect`).
+approximate pseudospectrum.  Criss-cross level raising brackets the
+predicted abscissa: n x n singular values move sigma right along
+horizontal lines, and an eigensolve of H tests each new vertical line and
+returns the frequencies where it meets the level set (see `bisect`).  The
+abscissa and those frequencies seed the corrector.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .discretization import (
 from .model import char_matrix, check_pair, eval_weight, shift_system
 
 
-BISECT_MAX_ITER = 100  # bisection steps, doubling steps included
+BISECT_MAX_ITER = 100  # rounds of `bisect`, one level-test eigensolve each
 
 
 class PredictionError(numerics.DelayPsaError):
@@ -50,7 +49,7 @@ class SpectralAbscissa:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Predicted abscissa, boundary frequencies and bisection diagnostics.
+    """Predicted abscissa, boundary frequencies and search diagnostics.
 
     Built by `predict`.  alpha_pred and the bracket are reported in the
     original (unshifted) spectral coordinates; shift_used records the
@@ -61,7 +60,7 @@ class PredictionResult:
 
     alpha_pred: float
     frequencies: np.ndarray
-    iterations: int
+    iterations: int  # rounds of `bisect`, one level-test eigensolve each
     bracket: tuple
     shift_used: float
     warnings: tuple = ()
@@ -150,44 +149,53 @@ def imaginary_axis_frequencies(ham):
     return np.array(merged)
 
 
-def _inside_certificate(disc, pert, sigma, candidates):
-    """Index of the first candidate frequency proving sigma inside, or None.
+def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
+    """Rightmost sigma proved inside along Im lam = omega, or -inf.
 
-    sigma_min(F_N(sigma + j*omega)) < eps * w(sigma) at one omega makes the
-    norm of the transfer function along Re = sigma exceed 1/(eps w(sigma));
-    as that norm decays to 0 at infinite frequency, the threshold is met at
-    some real omega*, so H(sigma) has the imaginary eigenvalue j*omega*.  A
-    1e-8 relative margin keeps the verdict clear of rounding.  A candidate
-    on a pole of the rational interpolant proves nothing and is skipped; if
-    every candidate is skipped, the eigensolve decides.
+    sigma_min(F_N(sigma + j*omega)) < eps w(sigma) by a 1e-8 relative margin
+    proves that H(sigma) has an imaginary eigenvalue: the transfer-function
+    norm along Re = sigma exceeds 1/(eps w(sigma)) there and decays to 0 at
+    infinite frequency.  A pole of the rational interpolant proves nothing.
+    Steps doubling from max(tol, 1e-3), capped at sigma_hi, then bisection
+    to tol/4 (or until the midpoint rounds) find the edge from sigma.
     """
     threshold = 1.0 / ((1.0 - 1e-8) * pert.epsilon)
-    for k, omega in enumerate(candidates):
+
+    def inside(s):
         try:
-            if level_approx(disc, pert, sigma, omega) > threshold:
-                return k
+            return level_approx(disc, pert, s, omega) > threshold
         except SingularResolventError:
-            continue
-    return None
+            return False
+
+    if not inside(sigma):
+        return -math.inf
+    step = max(tol, 1e-3)
+    while sigma + step < sigma_hi and inside(sigma + step):
+        sigma, step = sigma + step, 2.0 * step
+    hi = min(sigma + step, sigma_hi)
+    while hi - sigma > 0.25 * tol:
+        mid = 0.5 * (sigma + hi)
+        if not sigma < mid < hi:
+            break
+        sigma, hi = (mid, hi) if inside(mid) else (sigma, mid)
+    return sigma
 
 
 def bisect(disc, pert, tol):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
-    Starts from sigma_lo = alpha(A_N) with the upper end at infinity; the
-    step, starting at tol, doubles while no finite upper bound exists, then
-    ordinary bisection takes over.  A trial sigma is first tested at a few
-    candidate frequencies with `_inside_certificate` (one n x n singular
-    value each); only when none proves sigma inside does the imaginary-axis
-    test of `hamiltonian` decide.  The certificate implies that test's
-    verdict, so the sigma sequence is the same as with eigensolves alone.
-    Candidates are the last certified frequency, then the midpoints of the
-    last eigensolve's crossings, initially the frequency of the rightmost
-    eigenvalue of A_N.  Returns (sigma_lo, sigma_hi, frequencies, iterations)
-    in the coordinates of disc: sigma_lo is the final lower end (inside the
-    level set), and the frequencies are read off the test matrix there,
-    reusing the eigensolve that set sigma_lo when there was one.  Raises
-    PredictionError after BISECT_MAX_ITER steps.
+    Criss-cross level raising (Burke, Lewis and Overton, 2003) from
+    sigma_lo = alpha(A_N), its eigenvalue's frequency the first candidate.
+    Each round moves sigma_lo to the best point `_horizontal_search` proves
+    inside along a candidate and tests sigma_lo + tol with an eigensolve of
+    `hamiltonian`: no crossings end the search; crossings f_1 < ... < f_k
+    make it sigma_lo, with candidates 0 (the middle of [-f_1, f_1]; the set
+    is symmetric) and (f_i + f_i+1)/2.  A round with no candidate proved
+    inside (poles, tangency) takes the eigensolve bisection step instead.
+    Returns (sigma_lo, sigma_hi, frequencies, iterations) in disc's
+    coordinates: sigma_lo proved inside, sigma_hi outside by an eigensolve,
+    the crossings at sigma_lo, and the rounds (one eigensolve each).
+    Raises PredictionError after BISECT_MAX_ITER rounds.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -196,32 +204,32 @@ def bisect(disc, pert, tol):
     sigma_lo = float(rightmost.real)
     candidates = [abs(rightmost.imag)]
     freqs_lo = None  # crossings of the eigensolve that set sigma_lo
-    sigma_hi = math.inf
-    delta = tol
-    iterations = 0
+    sigma_hi, delta, iterations = math.inf, tol, 0
     while sigma_hi - sigma_lo > tol:
         if iterations >= BISECT_MAX_ITER:
-            raise PredictionError(
-                f"bisection did not reach width {tol} in {BISECT_MAX_ITER} iterations"
-            )
-        if math.isinf(sigma_hi):
+            raise PredictionError(f"bisection did not reach width {tol} in "
+                                  f"{BISECT_MAX_ITER} iterations")
+        best = max(_horizontal_search(disc, pert, omega, sigma_lo, sigma_hi, tol)
+                   for omega in candidates)
+        if best > sigma_lo:
+            sigma_lo, freqs_lo = best, None
+        if best == sigma_lo:  # some candidate was proved inside
+            if sigma_hi - sigma_lo <= tol:
+                break
+            sigma_mid = sigma_lo + tol
+            while sigma_mid - sigma_lo > tol:  # rounding must not widen it
+                sigma_mid = math.nextafter(sigma_mid, sigma_lo)
+        elif math.isinf(sigma_hi):
             delta *= 2.0
             sigma_mid = sigma_lo + delta
         else:
             sigma_mid = 0.5 * (sigma_lo + sigma_hi)
-        k = _inside_certificate(disc, pert, sigma_mid, candidates)
-        if k is not None:
-            candidates.insert(0, candidates.pop(k))
-            sigma_lo, freqs_lo = sigma_mid, None
+        freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_mid))
+        if freqs.size:
+            sigma_lo, freqs_lo = sigma_mid, freqs
+            candidates = [0.0, *(0.5 * (freqs[:-1] + freqs[1:]))]
         else:
-            freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_mid))
-            if freqs.size:
-                sigma_lo, freqs_lo = sigma_mid, freqs
-                # each inside interval of the line is [0, f1] or [f_i, f_i+1]
-                points = np.concatenate([[0.0], freqs])
-                candidates = list(0.5 * (points[:-1] + points[1:]))
-            else:
-                sigma_hi = sigma_mid
+            sigma_hi = sigma_mid
         iterations += 1
     if freqs_lo is None:
         freqs_lo = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
@@ -238,7 +246,7 @@ def predict(system, pert, N=15, tol=1e-3):
 
     Recenter the system at its exact spectral abscissa (so the
     discretization is most accurate where the level set is resolved), run
-    the Hamiltonian bisection there to width tol, and report in original
+    `bisect`'s criss-cross search there to width tol, and report in original
     coordinates, with a warning when the shift is the discretized abscissa.
     """
     check_pair(system, pert)

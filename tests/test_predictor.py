@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,11 +168,15 @@ def test_bisect_disk_quarter():
 
 
 def test_bisect_respects_budget():
-    # doubling from 1e-300 up to the disk's radius takes about 1000 steps
+    # sigma_lo + 1e-300 rounds to sigma_lo, so no vertical test can end the
+    # search, and doubling from 1e-300 to the disk's radius takes about 1000
+    # steps; the horizontal search must stop where its midpoint rounds
     pert = PerturbationSpec((1.0,), 0.25)
     disc = assemble(delay_free(0.0), 0)
+    start = time.perf_counter()
     with pytest.raises(PredictionError, match="100 iterations"):
         bisect(disc, pert, tol=1e-300)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bisect_rejects_bad_tol():
@@ -192,13 +197,17 @@ def test_predict_disk_shifted_coordinates():
 
 
 def test_predict_one_delay_frozen(one_delay, one_delay_pert):
-    # frozen from this configuration at first build; guards regressions
+    # the bracket contains the discretized abscissa of the eigensolve-only
+    # bisection at width 1e-10, taken at the same shift
     res = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
-    assert abs(res.alpha_pred - (-0.1656315052047591)) < 1e-12
     assert res.shift_used == pytest.approx(SA_ONE_DELAY, abs=1e-10)
     assert res.warnings == ()
     lo, hi = res.bracket
-    assert lo <= res.alpha_pred <= hi
+    ref_lo, ref_hi, _, _ = _reference_bisect(
+        *_shifted_disc(one_delay, one_delay_pert, 15), 1e-10)
+    assert lo <= res.shift_used + ref_lo
+    assert res.shift_used + ref_hi <= hi
+    assert lo == res.alpha_pred
     assert hi - lo <= 1e-3
 
 
@@ -224,26 +233,27 @@ def test_predict_bound_exceeds_spectral_abscissa(random_system):
         assert res.alpha_pred >= res.shift_used - 1e-4
 
 
-# --- inside certificate ------------------------------------------------------
+# --- horizontal search -----------------------------------------------------
 
 
 @pytest.mark.parametrize("N", [4, 6, 15, 20])
 @pytest.mark.parametrize("recipe", [_criterion10_plant, _wide_plant,
                                     _stiff_plant])
 def test_certificate_implies_crossings(monkeypatch, recipe, N):
-    # every step the n x n certificate calls inside also has imaginary-axis
-    # eigenvalues of the test matrix, so skipping that eigensolve is safe
-    certify = predictor._inside_certificate
+    # every sigma the n x n horizontal search reports as proved inside also
+    # has imaginary-axis eigenvalues of the test matrix, so it is a valid
+    # lower end without that eigensolve
+    search = predictor._horizontal_search
     checked = []
 
-    def cross_checked(disc, pert, sigma, candidates):
-        k = certify(disc, pert, sigma, candidates)
-        if k is not None:
+    def cross_checked(disc, pert, omega, *args):
+        sigma = search(disc, pert, omega, *args)
+        if sigma > -math.inf:
             freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma))
-            checked.append((sigma, candidates[k], freqs.size))
-        return k
+            checked.append((sigma, omega, freqs.size))
+        return sigma
 
-    monkeypatch.setattr(predictor, "_inside_certificate", cross_checked)
+    monkeypatch.setattr(predictor, "_horizontal_search", cross_checked)
     for seed in range(4):
         rng = np.random.default_rng([N, seed])
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -297,13 +307,25 @@ def _assert_matches_reference(disc, pert, tol):
     return iterations
 
 
+def _assert_contains_reference(disc, pert, tol):
+    # the eigensolve-only bisection at width 1e-10 brackets the discretized
+    # abscissa alpha_N; the criss-cross bracket must contain that bracket
+    sigma_lo, sigma_hi, freqs, _ = bisect(disc, pert, tol)
+    alpha_lo, alpha_hi, _, _ = _reference_bisect(disc, pert, 1e-10)
+    assert sigma_lo <= alpha_lo <= alpha_hi <= sigma_hi
+    assert sigma_hi - sigma_lo <= tol
+    crossings = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
+    assert np.array_equal(freqs, crossings)
+
+
 def test_bisect_matches_reference_disk():
     pert = PerturbationSpec((1.0,), 0.25)
-    _assert_matches_reference(assemble(delay_free(0.0), 0), pert, 1e-6)
+    _assert_contains_reference(assemble(delay_free(0.0), 0), pert, 1e-6)
 
 
 def test_bisect_matches_reference_one_delay(one_delay, one_delay_pert):
-    _assert_matches_reference(*_shifted_disc(one_delay, one_delay_pert, 15), 1e-6)
+    _assert_contains_reference(
+        *_shifted_disc(one_delay, one_delay_pert, 15), 1e-6)
 
 
 def test_bisect_matches_reference_on_poles(monkeypatch, one_delay,
@@ -330,11 +352,10 @@ def test_bisect_matches_reference_on_poles(monkeypatch, one_delay,
 
 
 def test_bisect_matches_reference_large(large_plant):
-    _assert_matches_reference(*_shifted_disc(*large_plant, 15), 1e-6)
+    _assert_contains_reference(*_shifted_disc(*large_plant, 15), 1e-6)
 
 
-def test_predict_eigensolve_count_large(monkeypatch, large_plant):
-    # an eigensolve at every step needs 36 level tests on this plant
+def _count_level_tests(monkeypatch):
     calls = []
     level_test = predictor.imaginary_axis_frequencies
 
@@ -343,5 +364,25 @@ def test_predict_eigensolve_count_large(monkeypatch, large_plant):
         return level_test(*args, **kwargs)
 
     monkeypatch.setattr(predictor, "imaginary_axis_frequencies", counted)
+    return calls
+
+
+def test_predict_eigensolve_count_large(monkeypatch, large_plant):
+    # an eigensolve at every step needs 36 level tests on this plant, and
+    # bisection with the one-point certificate 11; criss-cross needs one
+    # vertical test that finds crossings, one that finds none, and the
+    # frequency solve at sigma_lo
+    calls = _count_level_tests(monkeypatch)
     predict(*large_plant, N=15, tol=1e-6)
-    assert len(calls) <= 14
+    assert len(calls) <= 3
+
+
+def test_predict_real_axis_peak_level_tests(monkeypatch):
+    # this plant's rightmost point at eps = 0.3 is on the real axis; the
+    # candidate 0, the middle of the crossing interval [-f_1, f_1], reaches
+    # it in one horizontal search, where f_1/2 would halve omega every round
+    # and take 8 or more vertical tests
+    system = _criterion10_plant(np.random.default_rng(1), 10, 7)
+    calls = _count_level_tests(monkeypatch)
+    predict(system, PerturbationSpec((1.0,) * 8, 0.3), N=15, tol=1e-6)
+    assert len(calls) <= 3
