@@ -10,15 +10,17 @@ scanning frequencies: the test matrix
 has imaginary-axis eigenvalues exactly when the line still meets the
 approximate pseudospectrum.  Criss-cross level raising brackets the
 predicted abscissa: n x n singular values move sigma right along
-horizontal lines, and an eigensolve of H tests each new vertical line and
-returns the frequencies where it meets the level set (see `bisect`).  The
-abscissa and those frequencies seed the corrector.
+horizontal lines and re-centre omega along vertical ones, and an
+eigensolve of H tests each new vertical line and returns the frequencies
+where it meets the level set (see `bisect`).  The abscissa and those
+frequencies seed the corrector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from .discretization import (
 from .model import char_matrix, check_pair, eval_weight, shift_system
 
 
-BISECT_MAX_ITER = 100  # rounds of `bisect`, one level-test eigensolve each
+BISECT_MAX_ITER = 100  # rounds of `bisect` (one level-test eigensolve
+                       # each), and of each `_horizontal_search`
 
 
 class PredictionError(numerics.DelayPsaError):
@@ -149,35 +152,99 @@ def imaginary_axis_frequencies(ham):
     return np.array(merged)
 
 
+def _narrow(gap, a, ga, b, gb, width):
+    """Shrink a bracket, gap(a) < 0 <= gap(b), to |b - a| <= width.
+
+    Illinois regula falsi that bisects when two steps have not halved the
+    bracket.  Interpolated points keep width/2 from both ends, so the
+    bracket closes once the estimate settles; one that rounds to an end is
+    replaced by the midpoint, and the search stops where that rounds to an
+    end too.  Returns (a, gap(a)).
+    """
+    side, widths = 0, [math.inf, math.inf]
+    while abs(b - a) > width:
+        lo, hi = min(a, b), max(a, b)
+        x = 0.5 * (a + b)
+        if abs(b - a) <= 0.5 * widths[-2] and gb < math.inf:
+            t = a - ga * (b - a) / (gb - ga)
+            t = min(max(t, lo + 0.5 * width), hi - 0.5 * width)
+            x = t if lo < t < hi else x
+        widths.append(abs(b - a))
+        if not lo < x < hi:
+            break
+        gx = gap(x)
+        if gx < 0.0:
+            a, ga, gb, side = x, gx, 0.5 * gb if side < 0 else gb, -1
+        else:
+            b, gb, ga, side = x, gx, 0.5 * ga if side > 0 else ga, 1
+    return a, ga
+
+
 def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
-    """Rightmost sigma proved inside along Im lam = omega, or -inf.
+    """Rightmost sigma proved inside near Im lam = omega, or -inf.
 
     sigma_min(F_N(sigma + j*omega)) < eps w(sigma) by a 1e-8 relative margin
     proves that H(sigma) has an imaginary eigenvalue: the transfer-function
     norm along Re = sigma exceeds 1/(eps w(sigma)) there and decays to 0 at
     infinite frequency.  A pole of the rational interpolant proves nothing.
-    Steps doubling from max(tol, 1e-3), capped at sigma_hi, then bisection
-    to tol/4 (or until the midpoint rounds) find the edge from sigma.
+    A local criss-cross with n x n work: find the edge along the horizontal
+    line (to tol/4, below sigma_hi), then the inside interval of the
+    vertical line there (its ends to 1% of its length, or tol), and repeat
+    from its middle until a round gains less than tol/2.  An interval that
+    reaches the real axis is [-u, u], as the set is symmetric; 0 and u/2
+    are both tried.  Walks to an edge take steps doubling from
+    max(tol, 1e-3).
     """
-    threshold = 1.0 / ((1.0 - 1e-8) * pert.epsilon)
+    target = (1.0 - 1e-8) * pert.epsilon
 
-    def inside(s):
+    def gap(s, w):  # negative proves s + j*w inside
         try:
-            return level_approx(disc, pert, s, omega) > threshold
+            return 1.0 / level_approx(disc, pert, s, w) - target
         except SingularResolventError:
-            return False
+            return math.inf
 
-    if not inside(sigma):
+    def walk(f, a, fa, sign, stop, f_stop):
+        # from a, inside, toward stop: (a, f(a), b, f(b)) at the first
+        # point b not proved inside, or at b = stop
+        step = max(tol, 1e-3)
+        while True:
+            b = a + sign * step
+            if sign * (b - stop) >= 0.0:
+                return a, fa, stop, fa if a == stop else f_stop()
+            fb = f(b)
+            if not fb < 0.0:
+                return a, fa, b, fb
+            a, fa, step = b, fb, 2.0 * step
+
+    def horizontal(w, s, g):
+        along = partial(gap, w=w)
+        bracket = walk(along, s, g, 1.0, sigma_hi, lambda: math.inf)
+        return _narrow(along, *bracket, 0.25 * tol)
+
+    g = gap(sigma, omega)
+    if not g < 0.0:
         return -math.inf
-    step = max(tol, 1e-3)
-    while sigma + step < sigma_hi and inside(sigma + step):
-        sigma, step = sigma + step, 2.0 * step
-    hi = min(sigma + step, sigma_hi)
-    while hi - sigma > 0.25 * tol:
-        mid = 0.5 * (sigma + hi)
-        if not sigma < mid < hi:
+    sigma, g = horizontal(omega, sigma, g)
+    for _ in range(BISECT_MAX_ITER):
+        across = partial(gap, sigma)
+        down = walk(across, omega, g, -1.0, 0.0, partial(across, 0.0))
+        up = walk(across, omega, g, 1.0, math.inf, None)
+        if down[3] < 0.0:  # inside on the real axis
+            trials = [0.0, 0.5 * up[0]]
+        else:
+            width = max(0.01 * (up[2] - down[2]), tol)
+            trials = [0.5 * (_narrow(across, *up, width)[0]
+                             + _narrow(across, *down, width)[0])]
+        best = (sigma, omega, g)
+        for w in trials:
+            gw = across(w) if w != omega else math.inf
+            if gw < 0.0:
+                s, gs = horizontal(w, sigma, gw)
+                if s > best[0]:
+                    best = (s, w, gs)
+        gained, (sigma, omega, g) = best[0] - sigma, best
+        if not gained >= 0.5 * tol:
             break
-        sigma, hi = (mid, hi) if inside(mid) else (sigma, mid)
     return sigma
 
 
@@ -185,13 +252,17 @@ def bisect(disc, pert, tol):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
     Criss-cross level raising (Burke, Lewis and Overton, 2003) from
-    sigma_lo = alpha(A_N), its eigenvalue's frequency the first candidate.
+    sigma_lo = alpha(A_N), with candidates the frequencies of the three
+    rightmost eigenvalues of A_N (omega >= 0) and 0.
     Each round moves sigma_lo to the best point `_horizontal_search` proves
-    inside along a candidate and tests sigma_lo + tol with an eigensolve of
-    `hamiltonian`: no crossings end the search; crossings f_1 < ... < f_k
-    make it sigma_lo, with candidates 0 (the middle of [-f_1, f_1]; the set
-    is symmetric) and (f_i + f_i+1)/2.  A round with no candidate proved
-    inside (poles, tangency) takes the eigensolve bisection step instead.
+    inside near a candidate (each starting at the best point so far, which
+    a later one need only beat); that point is usually within tol of a
+    locally rightmost one.  The round then tests sigma_lo + tol with an
+    eigensolve of `hamiltonian`: no crossings end the search; crossings
+    f_1 < ... < f_k make it sigma_lo, with candidates 0 (the middle of
+    [-f_1, f_1]; the set is symmetric) and (f_i + f_i+1)/2.  A round with
+    no candidate proved inside (poles, tangency) takes the eigensolve
+    bisection step instead.
     Returns (sigma_lo, sigma_hi, frequencies, iterations) in disc's
     coordinates: sigma_lo proved inside, sigma_hi outside by an eigensolve,
     the crossings at sigma_lo, and the rounds (one eigensolve each).
@@ -200,17 +271,20 @@ def bisect(disc, pert, tol):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     vals = numerics.eig_real(disc.state_matrix)
-    rightmost = vals[np.argmax(vals.real)]
-    sigma_lo = float(rightmost.real)
-    candidates = [abs(rightmost.imag)]
+    upper = vals[vals.imag >= 0.0]
+    rightmost = upper[np.argsort(-upper.real)][:3]
+    sigma_lo = float(rightmost[0].real)
+    candidates = list(dict.fromkeys([*rightmost.imag.tolist(), 0.0]))
     freqs_lo = None  # crossings of the eigensolve that set sigma_lo
     sigma_hi, delta, iterations = math.inf, tol, 0
     while sigma_hi - sigma_lo > tol:
         if iterations >= BISECT_MAX_ITER:
             raise PredictionError(f"bisection did not reach width {tol} in "
                                   f"{BISECT_MAX_ITER} iterations")
-        best = max(_horizontal_search(disc, pert, omega, sigma_lo, sigma_hi, tol)
-                   for omega in candidates)
+        best = -math.inf
+        for omega in candidates:  # a later one need only beat the best
+            best = max(best, _horizontal_search(
+                disc, pert, omega, max(sigma_lo, best), sigma_hi, tol))
         if best > sigma_lo:
             sigma_lo, freqs_lo = best, None
         if best == sigma_lo:  # some candidate was proved inside

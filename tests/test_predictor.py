@@ -369,20 +369,65 @@ def _count_level_tests(monkeypatch):
 
 def test_predict_eigensolve_count_large(monkeypatch, large_plant):
     # an eigensolve at every step needs 36 level tests on this plant, and
-    # bisection with the one-point certificate 11; criss-cross needs one
-    # vertical test that finds crossings, one that finds none, and the
-    # frequency solve at sigma_lo
+    # bisection with the one-point certificate 11; criss-cross whose
+    # horizontal search stops at the first edge needs 3, and the local
+    # search reaches the peak, so one vertical test finds no crossings and
+    # the frequency solve at sigma_lo follows
     calls = _count_level_tests(monkeypatch)
     predict(*large_plant, N=15, tol=1e-6)
-    assert len(calls) <= 3
+    assert len(calls) == 2
 
 
 def test_predict_real_axis_peak_level_tests(monkeypatch):
     # this plant's rightmost point at eps = 0.3 is on the real axis; the
-    # candidate 0, the middle of the crossing interval [-f_1, f_1], reaches
-    # it in one horizontal search, where f_1/2 would halve omega every round
-    # and take 8 or more vertical tests
+    # middle of an interval that reaches the real axis, 0, is tried, where
+    # f_1/2 would halve omega every round and take 8 or more vertical tests
     system = _criterion10_plant(np.random.default_rng(1), 10, 7)
     calls = _count_level_tests(monkeypatch)
     predict(system, PerturbationSpec((1.0,) * 8, 0.3), N=15, tol=1e-6)
-    assert len(calls) <= 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed, eps_index", [
+    (5, 0), (5, 1), (5, 2), (5, 3), (12, 0), (12, 1), (12, 2), (12, 3),
+    (4, 2), (4, 3), (9, 2),
+])
+def test_predict_level_tests_steady(monkeypatch, seed, eps_index):
+    # the eps-sweep benchmark's (10, 7) plants and epsilon grid, where
+    # criss-cross that stops at the first edge along a candidate took 3 to
+    # 5 level tests; the local search ends within tol of the peak, so each
+    # takes the vertical test and the frequency solve.  (4, 2) peaks near
+    # its second eigenvalue (omega 0.79), apart from the real-axis peak
+    # its rightmost, real eigenvalue climbs, so it needs the next
+    # eigenvalues' candidates; (9, 2) peaks on the real axis, away from
+    # its rightmost eigenvalue (omega 0.83), and needs them or the
+    # candidate 0; (12, 2) needs the u/2 trial of an interval that
+    # reaches the real axis
+    system = _criterion10_plant(np.random.default_rng(seed), 10, 7)
+    eps = float(np.geomspace(1e-3, 0.3, 4)[eps_index])
+    calls = _count_level_tests(monkeypatch)
+    predict(system, PerturbationSpec((1.0,) * 8, eps), N=15, tol=1e-6)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_narrow_returns_inside_point_within_width(sign):
+    # gap(x) = sign * (x - root) is negative on the inside side of the root
+    root = 0.3
+    calls = []
+
+    def gap(x):
+        calls.append(x)
+        return sign * (x - root)
+
+    a, b = root - sign * 0.7, root + sign * 1.1
+    x, gx = predictor._narrow(gap, a, gap(a), b, gap(b), 1e-9)
+    assert gx == gap(x) < 0.0
+    assert abs(x - root) <= 1e-9
+    assert len(calls) <= 12  # bisection alone needs 31 steps
+
+
+def test_narrow_stops_where_the_midpoint_rounds():
+    x, gx = predictor._narrow(lambda x: x - 1.0, 0.5, -0.5, 1.0, 0.0, 1e-300)
+    assert gx < 0.0
+    assert 1.0 - 1e-15 < x < 1.0
