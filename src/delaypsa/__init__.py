@@ -1,9 +1,9 @@
 """Pseudospectral abscissa of retarded linear time-delay systems.
 
 The package predicts the epsilon-pseudospectral abscissa through a
-spectral discretization plus Hamiltonian bisection, corrects it with
-Gauss-Newton on the exact extremality equations, and ships independent
-grid oracles for validation.
+spectral discretization plus a Hamiltonian criss-cross search, corrects
+it with Gauss-Newton on the exact extremality equations, and ships
+independent grid oracles for validation.
 """
 
 from .corrector import AllStartsFailedError, CorrectionResult, correct

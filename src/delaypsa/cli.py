@@ -205,7 +205,7 @@ def _build_parser():
         p.add_argument("--N", type=int, default=15,
                        help="mesh order of the discretization (default 15)")
         p.add_argument("--tol", type=float, default=1e-3,
-                       help="bisection bracket width (default 1e-3)")
+                       help="predictor bracket width (default 1e-3)")
         p.add_argument("--epsilon", type=float, default=None,
                        help="override the file's perturbation size")
         p.add_argument("--gn-tol", type=float, default=None, dest="gn_tol",

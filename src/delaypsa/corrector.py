@@ -291,7 +291,7 @@ def correct(system, pert, prediction, gn_tol=None):
     if math.isfinite(width) and abs(best.sigma - prediction.alpha_pred) > 10.0 * width:
         warnings.append(
             "correction moved more than 10x the prediction bracket width; "
-            "consider a smaller bisection tol or a larger mesh order N"
+            "consider a smaller predictor tol or a larger mesh order N"
         )
     failed = len(outcomes) - len(winners)
     if failed:

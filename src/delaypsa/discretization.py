@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,9 @@ class Discretization:
     input_matrix: np.ndarray  # (N+1)n x n, unit block in the last block row
     lagrange_rows: np.ndarray  # m x (N+1), row i-1 = lagrange_values(mesh, -tau_i)
 
+    def __post_init__(self):
+        self.state_matrix.setflags(write=False)  # `eigenvalues` is cached
+
     @property
     def N(self):
         return self.mesh.N
@@ -116,6 +120,13 @@ class Discretization:
     @property
     def n(self):
         return self.system.n
+
+    @cached_property
+    def eigenvalues(self):
+        """Eigenvalues of A_N (read-only), computed on first use."""
+        vals = numerics.eig_real(self.state_matrix)
+        vals.setflags(write=False)
+        return vals
 
 
 def assemble(system, N):
@@ -134,7 +145,7 @@ def assemble(system, N):
         mesh = Mesh(np.zeros(1), np.ones(1))
         return Discretization(
             system, mesh, np.zeros((1, 1)),
-            system.matrices[0].copy(), np.eye(n), np.zeros((0, 1)),
+            system.matrices[0], np.eye(n), np.zeros((0, 1)),
         )
     if N < 0:
         raise ValueError("invalid N: must be >= 0")
@@ -216,5 +227,4 @@ def level_approx(disc, pert, sigma, omega):
 
 def spectral_abscissa_approx(disc):
     """Largest real part over the eigenvalues of the collocation matrix A_N."""
-    vals = numerics.eig_real(disc.state_matrix)
-    return float(vals.real.max())
+    return float(disc.eigenvalues.real.max())

@@ -26,9 +26,13 @@ import numpy as np
 from . import numerics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDelaySystem:
-    """Delays (tau_0 = 0, tau_1, ..., tau_m) and matching n x n matrices."""
+    """Delays (tau_0 = 0, tau_1, ..., tau_m) and matching n x n matrices.
+
+    Immutable: the matrices are read-only copies.  Systems compare and hash
+    by identity, so analysis cached for one system object never goes stale.
+    """
 
     delays: tuple
     matrices: tuple
@@ -56,6 +60,7 @@ class TimeDelaySystem:
                 )
             if not np.isfinite(a).all():
                 raise ValueError(f"matrix {k} has non-finite entries")
+            a.setflags(write=False)
         if any(not math.isfinite(t) for t in delays):
             raise ValueError("delays must be finite")
         if delays[0] != 0.0:

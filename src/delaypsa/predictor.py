@@ -19,6 +19,7 @@ frequencies seed the corrector.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +40,7 @@ BISECT_MAX_ITER = 100  # rounds of `bisect` (one level-test eigensolve
 
 
 class PredictionError(numerics.DelayPsaError):
-    """Bisection failed (iteration budget, or no boundary frequencies found)."""
+    """The level-set search failed (round budget, or no boundary frequencies)."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def spectral_abscissa_exact(system, disc):
     each, to a residual of 1e-12 * (1 + max ||A_i||_2)).  Falls back to the
     discretized abscissa, with no roots, if no start converges.
     """
-    vals = numerics.eig_real(disc.state_matrix)
+    vals = disc.eigenvalues
     starts = vals[np.argsort(-vals.real)][:10]
     scale = 1.0 + max(np.linalg.norm(a, 2) for a in system.matrices)
     roots = []
@@ -270,7 +271,7 @@ def bisect(disc, pert, tol):
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    vals = numerics.eig_real(disc.state_matrix)
+    vals = disc.eigenvalues
     upper = vals[vals.imag >= 0.0]
     rightmost = upper[np.argsort(-upper.real)][:3]
     sigma_lo = float(rightmost[0].real)
@@ -279,8 +280,8 @@ def bisect(disc, pert, tol):
     sigma_hi, delta, iterations = math.inf, tol, 0
     while sigma_hi - sigma_lo > tol:
         if iterations >= BISECT_MAX_ITER:
-            raise PredictionError(f"bisection did not reach width {tol} in "
-                                  f"{BISECT_MAX_ITER} iterations")
+            raise PredictionError(f"level-set search did not reach width "
+                                  f"{tol} in {BISECT_MAX_ITER} iterations")
         best = -math.inf
         for omega in candidates:  # a later one need only beat the best
             best = max(best, _horizontal_search(
@@ -315,6 +316,11 @@ def bisect(disc, pert, tol):
     return sigma_lo, sigma_hi, freqs_lo, iterations
 
 
+# system -> {N: (SpectralAbscissa, recentered Discretization)}; the values
+# hold the shifted system, never the key, so an entry dies with its system
+_RECENTERED = weakref.WeakKeyDictionary()
+
+
 def predict(system, pert, N=15, tol=1e-3):
     """Predict the pseudospectral abscissa at mesh order N.
 
@@ -322,12 +328,20 @@ def predict(system, pert, N=15, tol=1e-3):
     discretization is most accurate where the level set is resolved), run
     `bisect`'s criss-cross search there to width tol, and report in original
     coordinates, with a warning when the shift is the discretized abscissa.
+    The recentering depends only on the system and N: it runs on the first
+    call for a system object and N, and later calls reuse it, including
+    the eigenvalues of the shifted A_N.
     """
     check_pair(system, pert)
-    disc0 = assemble(system, N)
-    sa = spectral_abscissa_exact(system, disc0)
-    shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
-    disc = assemble(shifted_sys, N)
+    recentered = _RECENTERED.setdefault(system, {})
+    if N in recentered:
+        sa, disc = recentered[N]
+        shifted_pert = shift_system(system, pert, sa.value)[1]
+    else:
+        sa = spectral_abscissa_exact(system, assemble(system, N))
+        shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
+        disc = assemble(shifted_sys, N)
+        recentered[N] = sa, disc
     sigma_lo, sigma_hi, freqs, iterations = bisect(disc, shifted_pert, tol)
     warnings = () if sa.roots else (
         "spectral abscissa: Newton correction failed for every start; "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem, char_matrix
+from delaypsa import PerturbationSpec, TimeDelaySystem, char_matrix, numerics
 from delaypsa.discretization import (
     SingularResolventError,
     assemble,
@@ -272,3 +272,24 @@ def test_abscissa_positive_feedback():
     disc = assemble(sys1, 15)
     # the omega constant solves lam = exp(-lam)
     assert abs(spectral_abscissa_approx(disc) - 0.5671432904097838) < 1e-10
+
+
+def test_eigenvalues_computed_once_and_read_only(monkeypatch, one_delay):
+    disc = assemble(one_delay, 15)
+    solves = []
+    eig = numerics.eig_real
+
+    def counted(matrix):
+        solves.append(1)
+        return eig(matrix)
+
+    monkeypatch.setattr(numerics, "eig_real", counted)
+    vals = disc.eigenvalues
+    assert disc.eigenvalues is vals
+    assert spectral_abscissa_approx(disc) == float(vals.real.max())
+    assert len(solves) == 1
+    assert np.array_equal(vals, eig(disc.state_matrix))
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        disc.state_matrix[0, 0] = 1.0

@@ -55,6 +55,24 @@ def test_weights_validation():
         PerturbationSpec((1.0,), 0.0)
 
 
+def test_system_matrices_are_read_only_copies():
+    a0 = np.eye(2)
+    system = TimeDelaySystem((0.0, 1.0), (a0, np.eye(2)))
+    with pytest.raises(ValueError, match="read-only"):
+        system.matrices[0][0, 0] = 5.0
+    a0[0, 0] = 5.0  # the caller's array stays writable and apart
+    assert system.matrices[0][0, 0] == 1.0
+
+
+def test_systems_hash_and_compare_by_identity():
+    a = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
+    b = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
+    assert hash(a) == hash(a)
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_check_pair_counts_weights():
     sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
     with pytest.raises(ValueError, match="weights"):

@@ -1,11 +1,13 @@
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
-from delaypsa import predictor
+from delaypsa import numerics, predictor
 from delaypsa.discretization import (
     SingularResolventError,
     assemble,
@@ -57,6 +59,29 @@ def test_abscissa_delay_free():
 def test_abscissa_scalar_undelayed():
     sa = spectral_abscissa_exact(delay_free(1.0), assemble(delay_free(1.0), 3))
     assert abs(sa.value - 1.0) < 1e-12
+
+
+def test_abscissa_fallback_when_newton_fails(monkeypatch, one_delay,
+                                            one_delay_pert):
+    # with no converged root the shift is the discretized abscissa, read
+    # from the one eigensolve of the unshifted A_N
+    a_n = assemble(one_delay, 15).state_matrix
+    on_a_n = []
+    eig = numerics.eig_real
+
+    def counted(matrix):
+        on_a_n.append(np.array_equal(matrix, a_n))
+        return eig(matrix)
+
+    monkeypatch.setattr(predictor, "_newton_root",
+                        lambda system, lam0, tol, max_iter: (lam0, False))
+    monkeypatch.setattr(numerics, "eig_real", counted)
+    res = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
+    assert sum(on_a_n) == 1
+    assert any("Newton correction failed for every start" in w
+               for w in res.warnings)
+    assert res.roots == ()
+    assert res.shift_used == spectral_abscissa_approx(assemble(one_delay, 15))
 
 
 def test_abscissa_roots_actually_solve(one_delay):
@@ -189,7 +214,7 @@ def test_bisect_rejects_bad_tol():
 
 
 def test_predict_disk_shifted_coordinates():
-    # the disk |z - 1| <= 0.5: bisection runs recentered at the root 1.0
+    # the disk |z - 1| <= 0.5: the search runs recentered at the root 1.0
     pert = PerturbationSpec((1.0,), 0.5)
     res = predict(delay_free(1.0), pert, N=0, tol=1e-4)
     assert abs(res.alpha_pred - 1.5) < 1e-4
@@ -231,6 +256,58 @@ def test_predict_bound_exceeds_spectral_abscissa(random_system):
         system, pert = random_system(seed)
         res = predict(system, pert, N=12, tol=1e-4)
         assert res.alpha_pred >= res.shift_used - 1e-4
+
+
+def _fields(res):
+    return (res.alpha_pred, res.frequencies.tolist(), res.iterations,
+            res.bracket, res.shift_used, res.warnings, res.roots)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(predictor, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, name, counted)
+    return calls
+
+
+def test_predict_reuses_recentering_across_epsilon(monkeypatch):
+    # the spectral abscissa and both discretizations depend on the system
+    # and N only, so a second epsilon on the same object reuses them
+    system = _criterion10_plant(np.random.default_rng(3), 3, 2)
+    abscissas = _count_calls(monkeypatch, "spectral_abscissa_exact")
+    assemblies = _count_calls(monkeypatch, "assemble")
+    perts = [PerturbationSpec((1.0,) * 3, eps) for eps in (0.01, 0.2)]
+    reused = [predict(system, p, N=12, tol=1e-6) for p in perts]
+    assert (len(abscissas), len(assemblies)) == (1, 2)
+    for pert, res in zip(perts, reused):
+        fresh = TimeDelaySystem(system.delays, system.matrices)
+        assert _fields(predict(fresh, pert, N=12, tol=1e-6)) == _fields(res)
+    assert (len(abscissas), len(assemblies)) == (3, 6)
+
+
+def test_predict_new_mesh_order_misses(monkeypatch):
+    system = _criterion10_plant(np.random.default_rng(3), 3, 2)
+    pert = PerturbationSpec((1.0,) * 3, 0.05)
+    abscissas = _count_calls(monkeypatch, "spectral_abscissa_exact")
+    predict(system, pert, N=12, tol=1e-4)
+    predict(system, pert, N=10, tol=1e-4)
+    predict(system, pert, N=12, tol=1e-4)
+    assert len(abscissas) == 2
+
+
+def test_predict_keeps_no_system_alive():
+    system = _criterion10_plant(np.random.default_rng(3), 3, 2)
+    predict(system, PerturbationSpec((1.0,) * 3, 0.05), N=12, tol=1e-4)
+    assert system in predictor._RECENTERED
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
 
 
 # --- horizontal search -----------------------------------------------------
@@ -355,25 +432,13 @@ def test_bisect_matches_reference_large(large_plant):
     _assert_contains_reference(*_shifted_disc(*large_plant, 15), 1e-6)
 
 
-def _count_level_tests(monkeypatch):
-    calls = []
-    level_test = predictor.imaginary_axis_frequencies
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return level_test(*args, **kwargs)
-
-    monkeypatch.setattr(predictor, "imaginary_axis_frequencies", counted)
-    return calls
-
-
 def test_predict_eigensolve_count_large(monkeypatch, large_plant):
     # an eigensolve at every step needs 36 level tests on this plant, and
     # bisection with the one-point certificate 11; criss-cross whose
     # horizontal search stops at the first edge needs 3, and the local
     # search reaches the peak, so one vertical test finds no crossings and
     # the frequency solve at sigma_lo follows
-    calls = _count_level_tests(monkeypatch)
+    calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(*large_plant, N=15, tol=1e-6)
     assert len(calls) == 2
 
@@ -383,7 +448,7 @@ def test_predict_real_axis_peak_level_tests(monkeypatch):
     # middle of an interval that reaches the real axis, 0, is tried, where
     # f_1/2 would halve omega every round and take 8 or more vertical tests
     system = _criterion10_plant(np.random.default_rng(1), 10, 7)
-    calls = _count_level_tests(monkeypatch)
+    calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(system, PerturbationSpec((1.0,) * 8, 0.3), N=15, tol=1e-6)
     assert len(calls) == 2
 
@@ -405,7 +470,7 @@ def test_predict_level_tests_steady(monkeypatch, seed, eps_index):
     # reaches the real axis
     system = _criterion10_plant(np.random.default_rng(seed), 10, 7)
     eps = float(np.geomspace(1e-3, 0.3, 4)[eps_index])
-    calls = _count_level_tests(monkeypatch)
+    calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(system, PerturbationSpec((1.0,) * 8, eps), N=15, tol=1e-6)
     assert len(calls) == 2
 
