@@ -260,7 +260,8 @@ class CorrectionResult:
 def correct(system, pert, prediction, gn_tol=None):
     """Correct a prediction: one Gauss-Newton run per predicted frequency.
 
-    Start vectors are the smallest singular vectors of the doubled matrix at
+    The omega_i are where the predictor proved alpha_pred inside; start
+    vectors are the smallest singular vectors of the doubled matrix at
     lam = alpha_pred + j*omega_i; each converged run lands on an extremal point
     of the pseudospectrum boundary, and the corrected abscissa is the
     largest corrected sigma.  gn_tol is passed to `gauss_newton`.  Raises

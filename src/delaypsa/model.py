@@ -172,11 +172,14 @@ def shift_system(system, pert, alpha):
     mats = [system.matrices[0] - alpha * np.eye(system.n)]
     for tau, a in zip(system.delays[1:], system.matrices[1:]):
         mats.append(a * math.exp(-alpha * tau))
+    return (TimeDelaySystem(system.delays, tuple(mats)),
+            shift_weights(system, pert, alpha))
+
+
+def shift_weights(system, pert, alpha):
+    """The perturbation spec of `shift_system`: w_i -> w_i * exp(alpha*tau_i)."""
     weights = tuple(
-        w if math.isinf(w) else w * math.exp(alpha * tau)
+        w if math.isinf(w) else w * math.exp(float(alpha) * tau)
         for tau, w in zip(system.delays, pert.weights, strict=True)
     )
-    return (
-        TimeDelaySystem(system.delays, tuple(mats)),
-        PerturbationSpec(weights, pert.epsilon),
-    )
+    return PerturbationSpec(weights, pert.epsilon)

@@ -26,9 +26,9 @@ def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None):
     """Compute the epsilon-pseudospectral abscissa of a retarded system.
 
     Runs the Hamiltonian criss-cross predictor at mesh order N to bracket
-    the abscissa within tol, then Gauss-Newton corrects every predicted
-    boundary frequency on the exact extremality equations to residual
-    tolerance gn_tol.  The iteration budgets are fixed constants
+    the abscissa within tol, then runs Gauss-Newton from each frequency where
+    the lower end was proved inside, on the exact extremality equations, to
+    residual tolerance gn_tol.  The iteration budgets are fixed constants
     (predictor.BISECT_MAX_ITER, corrector.GN_MAX_ITER).  Returns a
     PsaResult; raises corrector.AllStartsFailedError when no start converges.
     """

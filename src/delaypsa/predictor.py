@@ -11,9 +11,9 @@ has imaginary-axis eigenvalues exactly when the line still meets the
 approximate pseudospectrum.  Criss-cross level raising brackets the
 predicted abscissa: n x n singular values move sigma right along
 horizontal lines and re-centre omega along vertical ones, and an
-eigensolve of H tests each new vertical line and returns the frequencies
-where it meets the level set (see `bisect`).  The abscissa and those
-frequencies seed the corrector.
+eigensolve of H tests each new vertical line (see `bisect`).  The
+abscissa and the frequencies where it was proved inside seed the
+corrector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .discretization import (
     level_approx,
     spectral_abscissa_approx,
 )
-from .model import char_matrix, check_pair, eval_weight, shift_system
+from .model import (char_matrix, check_pair, eval_weight, shift_system,
+                    shift_weights)
 
 
 BISECT_MAX_ITER = 100  # rounds of `bisect` (one level-test eigensolve
@@ -59,7 +60,7 @@ class PredictionResult:
     original (unshifted) spectral coordinates; shift_used records the
     recentering applied before discretization and roots the characteristic
     roots that set it (those of `spectral_abscissa_exact`).  Frequencies are
-    folded to omega >= 0, sorted, and deduplicated within 1e-8 * (1 + omega).
+    those `bisect` returns: omega >= 0, sorted, one start each.
     """
 
     alpha_pred: float
@@ -182,7 +183,7 @@ def _narrow(gap, a, ga, b, gb, width):
 
 
 def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
-    """Rightmost sigma proved inside near Im lam = omega, or -inf.
+    """Rightmost (sigma, omega) proved inside near Im lam = omega, or -inf.
 
     sigma_min(F_N(sigma + j*omega)) < eps w(sigma) by a 1e-8 relative margin
     proves that H(sigma) has an imaginary eigenvalue: the transfer-function
@@ -194,7 +195,7 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     from its middle until a round gains less than tol/2.  An interval that
     reaches the real axis is [-u, u], as the set is symmetric; 0 and u/2
     are both tried.  Walks to an edge take steps doubling from
-    max(tol, 1e-3).
+    max(tol, 1e-3).  omega is where sigma was proved (the start's on -inf).
     """
     target = (1.0 - 1e-8) * pert.epsilon
 
@@ -224,7 +225,7 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
 
     g = gap(sigma, omega)
     if not g < 0.0:
-        return -math.inf
+        return -math.inf, omega
     sigma, g = horizontal(omega, sigma, g)
     for _ in range(BISECT_MAX_ITER):
         across = partial(gap, sigma)
@@ -246,7 +247,7 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
         gained, (sigma, omega, g) = best[0] - sigma, best
         if not gained >= 0.5 * tol:
             break
-    return sigma
+    return sigma, omega
 
 
 def bisect(disc, pert, tol):
@@ -266,7 +267,9 @@ def bisect(disc, pert, tol):
     bisection step instead.
     Returns (sigma_lo, sigma_hi, frequencies, iterations) in disc's
     coordinates: sigma_lo proved inside, sigma_hi outside by an eigensolve,
-    the crossings at sigma_lo, and the rounds (one eigensolve each).
+    where sigma_lo was proved (a search's omega, or the crossings of the
+    eigensolve that set it; one more eigensolve reads the crossings only
+    when neither did), and the rounds (one eigensolve each).
     Raises PredictionError after BISECT_MAX_ITER rounds.
     """
     if not tol > 0.0:
@@ -276,7 +279,7 @@ def bisect(disc, pert, tol):
     rightmost = upper[np.argsort(-upper.real)][:3]
     sigma_lo = float(rightmost[0].real)
     candidates = list(dict.fromkeys([*rightmost.imag.tolist(), 0.0]))
-    freqs_lo = None  # crossings of the eigensolve that set sigma_lo
+    freqs_lo = None  # where sigma_lo was proved inside
     sigma_hi, delta, iterations = math.inf, tol, 0
     while sigma_hi - sigma_lo > tol:
         if iterations >= BISECT_MAX_ITER:
@@ -284,10 +287,12 @@ def bisect(disc, pert, tol):
                                   f"{tol} in {BISECT_MAX_ITER} iterations")
         best = -math.inf
         for omega in candidates:  # a later one need only beat the best
-            best = max(best, _horizontal_search(
-                disc, pert, omega, max(sigma_lo, best), sigma_hi, tol))
-        if best > sigma_lo:
-            sigma_lo, freqs_lo = best, None
+            s, w = _horizontal_search(
+                disc, pert, omega, max(sigma_lo, best), sigma_hi, tol)
+            if s > best:
+                best, best_omega = s, w
+        if best > sigma_lo or (best == sigma_lo and freqs_lo is None):
+            sigma_lo, freqs_lo = best, np.array([best_omega])
         if best == sigma_lo:  # some candidate was proved inside
             if sigma_hi - sigma_lo <= tol:
                 break
@@ -334,14 +339,12 @@ def predict(system, pert, N=15, tol=1e-3):
     """
     check_pair(system, pert)
     recentered = _RECENTERED.setdefault(system, {})
-    if N in recentered:
-        sa, disc = recentered[N]
-        shifted_pert = shift_system(system, pert, sa.value)[1]
-    else:
+    if N not in recentered:
         sa = spectral_abscissa_exact(system, assemble(system, N))
-        shifted_sys, shifted_pert = shift_system(system, pert, sa.value)
-        disc = assemble(shifted_sys, N)
-        recentered[N] = sa, disc
+        shifted_sys = shift_system(system, pert, sa.value)[0]
+        recentered[N] = sa, assemble(shifted_sys, N)
+    sa, disc = recentered[N]
+    shifted_pert = shift_weights(system, pert, sa.value)
     sigma_lo, sigma_hi, freqs, iterations = bisect(disc, shifted_pert, tol)
     warnings = () if sa.roots else (
         "spectral abscissa: Newton correction failed for every start; "

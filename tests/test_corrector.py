@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,13 @@ from delaypsa.corrector import (
     start_vector,
     sv_threshold,
 )
+from delaypsa.discretization import assemble
 from delaypsa.model import shift_system
-from delaypsa.predictor import PredictionResult
+from delaypsa.predictor import (
+    PredictionResult,
+    hamiltonian,
+    imaginary_axis_frequencies,
+)
 
 from conftest import delay_free
 
@@ -374,7 +380,14 @@ def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
             raise numerics.RankDeficientError(0, jac.shape[1])
         return solve(jac, res)
 
+    # two starts: the crossings of the level set with Re lam = alpha_pred
     pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
+    shifted_sys, shifted_pert = shift_system(one_delay, one_delay_pert,
+                                             pred.shift_used)
+    ham = hamiltonian(assemble(shifted_sys, 15), shifted_pert,
+                      pred.alpha_pred - pred.shift_used)
+    pred = dataclasses.replace(pred,
+                               frequencies=imaginary_axis_frequencies(ham))
     assert len(pred.frequencies) == 2
     monkeypatch.setattr(numerics, "least_squares_real", first_fails)
     res = correct(one_delay, one_delay_pert, pred)
@@ -412,7 +425,7 @@ def test_correct_one_delay_frozen(one_delay, one_delay_pert):
     assert abs(res.alpha_eps - ALPHA_EPS_ONE_DELAY) < 1e-10
     assert abs(res.omega_eps - OMEGA_EPS_ONE_DELAY) < 1e-8
     assert all(s.converged for s in res.per_start)
-    # both predicted frequencies straddle one extremal point
+    # every predicted frequency leads to one extremal point
     assert len(distinct_solutions(res)) == 1
 
 

@@ -5,6 +5,7 @@ from delaypsa import (
     GridRegion,
     PerturbationSpec,
     PredictionResult,
+    TimeDelaySystem,
     compute_psa,
     contours,
     correct,
@@ -15,6 +16,7 @@ from delaypsa import (
     predict,
     shift_system,
 )
+from delaypsa.oracle import frequency_bound
 
 from conftest import _criterion10_plant, delay_free
 
@@ -87,3 +89,40 @@ def test_alpha_does_not_depend_on_the_prediction(seed):
     coarse = compute_psa(system, pert, tol=1e-3).alpha_eps
     fine = compute_psa(system, pert, tol=1e-6).alpha_eps
     assert abs(coarse - fine) <= 1e-12 * abs(fine)
+
+
+def _small_batch_case(i):
+    # the small-batch benchmark's plant i of seed 1: (n, m) from i mod 9,
+    # matrices uniform(-2, 2), delays up to 1, epsilon 10**uniform(-3, 0)
+    rng = np.random.default_rng([1, i])
+    n, m = (k + 1 for k in divmod(i % 9, 3))
+    mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.0, m)))
+    eps = float(10.0 ** rng.uniform(-3.0, 0.0))
+    return TimeDelaySystem(delays, mats), PerturbationSpec((1.0,) * (m + 1), eps)
+
+
+def _large_case():
+    # the acceptance suite's criterion-10 plant
+    system = _criterion10_plant(np.random.default_rng(7), 10, 7)
+    return system, PerturbationSpec((1.0,) * 8, 0.05)
+
+
+@pytest.mark.parametrize("case", [0, 4, 8, "large"])
+def test_handed_off_frequencies_start_the_corrector(case):
+    # the predictor hands the corrector the frequency where its search
+    # proved the lower end inside; Gauss-Newton converges from it to the
+    # abscissa the brute-force grid oracle finds (criterion 3's tolerance)
+    system, pert = _large_case() if case == "large" else _small_batch_case(case)
+    res = compute_psa(system, pert, N=15, tol=1e-3)
+    assert res.prediction.frequencies.size
+    assert all(s.converged for s in res.correction.per_start)
+    sa = res.prediction.shift_used
+    wmax = min(frequency_bound(system, pert, sa - 0.05), 40.0)
+    region = GridRegion(
+        sa - 0.05, res.alpha_eps + 0.5, -0.02, wmax,
+        max(41, int((res.alpha_eps + 0.55 - sa) / 0.01)),
+        max(41, int((wmax + 0.02) / 0.01)),
+    )
+    alpha_ref = grid_psa(system, pert, region, refine_iters=3).value
+    assert abs(res.alpha_eps - alpha_ref) <= 2e-3

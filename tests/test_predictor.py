@@ -11,6 +11,7 @@ from delaypsa import numerics, predictor
 from delaypsa.discretization import (
     SingularResolventError,
     assemble,
+    level_approx,
     spectral_abscissa_approx,
 )
 from delaypsa.model import shift_system
@@ -192,6 +193,20 @@ def test_bisect_disk_quarter():
     assert freqs[0] < 1e-3
 
 
+def test_bisect_hands_back_omega_without_gain(monkeypatch):
+    # the disk |z| <= 1e-4 is narrower than tol/4: the search proves the
+    # eigenvalue 0 inside but cannot move right of it, and hands back the
+    # frequency where it proved it instead of solving the test matrix at 0,
+    # whose crossing is 1e-4
+    pert = PerturbationSpec((1.0,), 1e-4)
+    calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
+    sigma_lo, sigma_hi, freqs, _ = bisect(assemble(delay_free(0.0), 0), pert,
+                                          tol=1e-2)
+    assert (sigma_lo, len(calls)) == (0.0, 1)
+    assert sigma_lo <= 1e-4 <= sigma_hi
+    assert np.array_equal(freqs, [0.0])
+
+
 def test_bisect_respects_budget():
     # sigma_lo + 1e-300 rounds to sigma_lo, so no vertical test can end the
     # search, and doubling from 1e-300 to the disk's radius takes about 1000
@@ -319,16 +334,20 @@ def test_predict_keeps_no_system_alive():
 def test_certificate_implies_crossings(monkeypatch, recipe, N):
     # every sigma the n x n horizontal search reports as proved inside also
     # has imaginary-axis eigenvalues of the test matrix, so it is a valid
-    # lower end without that eigensolve
+    # lower end without that eigensolve, and the frequency it returns lies
+    # strictly inside a crossing interval, [-f_1, f_1] or some
+    # [f_i, f_i+1], so it is a start for the corrector
     search = predictor._horizontal_search
     checked = []
 
-    def cross_checked(disc, pert, omega, *args):
-        sigma = search(disc, pert, omega, *args)
+    def cross_checked(disc, pert, *args):
+        sigma, omega = search(disc, pert, *args)
         if sigma > -math.inf:
             freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma))
-            checked.append((sigma, omega, freqs.size))
-        return sigma
+            inside = freqs.size and (omega < freqs[0] or any(
+                lo < omega < hi for lo, hi in zip(freqs[:-1], freqs[1:])))
+            checked.append((sigma, omega, freqs.size, bool(inside)))
+        return sigma, omega
 
     monkeypatch.setattr(predictor, "_horizontal_search", cross_checked)
     for seed in range(4):
@@ -339,7 +358,7 @@ def test_certificate_implies_crossings(monkeypatch, recipe, N):
                                 float(10.0 ** rng.uniform(-3.0, 0.0)))
         predict(system, pert, N=N, tol=1e-6)
     assert checked
-    assert [c for c in checked if c[2] == 0] == []
+    assert [c for c in checked if c[2] == 0 or not c[3]] == []
 
 
 def _reference_bisect(disc, pert, tol):
@@ -386,13 +405,17 @@ def _assert_matches_reference(disc, pert, tol):
 
 def _assert_contains_reference(disc, pert, tol):
     # the eigensolve-only bisection at width 1e-10 brackets the discretized
-    # abscissa alpha_N; the criss-cross bracket must contain that bracket
+    # abscissa alpha_N; the criss-cross bracket must contain that bracket,
+    # and every returned frequency proves sigma_lo inside:
+    # sigma_min(F_N(sigma_lo + j*omega)) < (1 - 1e-8) eps w(sigma_lo)
     sigma_lo, sigma_hi, freqs, _ = bisect(disc, pert, tol)
     alpha_lo, alpha_hi, _, _ = _reference_bisect(disc, pert, 1e-10)
     assert sigma_lo <= alpha_lo <= alpha_hi <= sigma_hi
     assert sigma_hi - sigma_lo <= tol
-    crossings = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_lo))
-    assert np.array_equal(freqs, crossings)
+    assert freqs.size
+    for omega in freqs:
+        smin_over_w = 1.0 / level_approx(disc, pert, sigma_lo, omega)
+        assert smin_over_w < (1.0 - 1e-8) * pert.epsilon
 
 
 def test_bisect_matches_reference_disk():
@@ -437,20 +460,21 @@ def test_predict_eigensolve_count_large(monkeypatch, large_plant):
     # bisection with the one-point certificate 11; criss-cross whose
     # horizontal search stops at the first edge needs 3, and the local
     # search reaches the peak, so one vertical test finds no crossings and
-    # the frequency solve at sigma_lo follows
+    # the frequency where the search proved sigma_lo starts the corrector
     calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(*large_plant, N=15, tol=1e-6)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_predict_real_axis_peak_level_tests(monkeypatch):
     # this plant's rightmost point at eps = 0.3 is on the real axis; the
     # middle of an interval that reaches the real axis, 0, is tried, where
-    # f_1/2 would halve omega every round and take 8 or more vertical tests
+    # f_1/2 would halve omega every round and take 8 or more vertical tests;
+    # the one vertical test finds no crossings and ends the search
     system = _criterion10_plant(np.random.default_rng(1), 10, 7)
     calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(system, PerturbationSpec((1.0,) * 8, 0.3), N=15, tol=1e-6)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed, eps_index", [
@@ -461,7 +485,8 @@ def test_predict_level_tests_steady(monkeypatch, seed, eps_index):
     # the eps-sweep benchmark's (10, 7) plants and epsilon grid, where
     # criss-cross that stops at the first edge along a candidate took 3 to
     # 5 level tests; the local search ends within tol of the peak, so each
-    # takes the vertical test and the frequency solve.  (4, 2) peaks near
+    # takes only the vertical test, and the frequency where the search
+    # proved sigma_lo starts the corrector.  (4, 2) peaks near
     # its second eigenvalue (omega 0.79), apart from the real-axis peak
     # its rightmost, real eigenvalue climbs, so it needs the next
     # eigenvalues' candidates; (9, 2) peaks on the real axis, away from
@@ -472,7 +497,7 @@ def test_predict_level_tests_steady(monkeypatch, seed, eps_index):
     eps = float(np.geomspace(1e-3, 0.3, 4)[eps_index])
     calls = _count_calls(monkeypatch, "imaginary_axis_frequencies")
     predict(system, PerturbationSpec((1.0,) * 8, eps), N=15, tol=1e-6)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
