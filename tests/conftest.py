@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem, numerics
+from delaypsa import (
+    GridRegion,
+    PerturbationSpec,
+    TimeDelaySystem,
+    grid_psa,
+    numerics,
+)
 from delaypsa.discretization import level_approx
 from delaypsa.model import check_pair
+from delaypsa.oracle import frequency_bound
 
 
 @pytest.fixture
@@ -62,6 +69,20 @@ def _wide_plant(rng, n, m):
     mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
     delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m)))
     return TimeDelaySystem(delays, mats)
+
+
+def grid_alpha_ref(system, pert, res):
+    """The brute-force grid oracle's abscissa, on a 0.01-spaced region from
+    just left of compute_psa's recentring shift to 0.5 right of its answer
+    res, up to the frequency bound (at most 40)."""
+    sa = res.prediction.shift_used
+    wmax = min(frequency_bound(system, pert, sa - 0.05), 40.0)
+    region = GridRegion(
+        sa - 0.05, res.alpha_eps + 0.5, -0.02, wmax,
+        max(41, int((res.alpha_eps + 0.55 - sa) / 0.01)),
+        max(41, int((wmax + 0.02) / 0.01)),
+    )
+    return grid_psa(system, pert, region, refine_iters=3).value
 
 
 # reference computations on the discretization, used only by tests

@@ -30,7 +30,12 @@ from delaypsa.model import shift_system
 from delaypsa.oracle import frequency_bound
 from delaypsa.predictor import bisect
 
-from conftest import delay_free, level_sup_profile, transfer_function
+from conftest import (
+    delay_free,
+    grid_alpha_ref,
+    level_sup_profile,
+    transfer_function,
+)
 
 
 def report(num, name, ok, detail):
@@ -98,15 +103,8 @@ def test_criterion_03_oracle_equivalence():
     worst = 0.0
     for system, pert in criterion3_cases():
         res = compute_psa(system, pert, N=15, tol=1e-4)
-        sa = res.prediction.shift_used
-        wmax = min(frequency_bound(system, pert, sa - 0.05), 40.0)
-        region = GridRegion(
-            sa - 0.05, res.alpha_eps + 0.5, -0.02, wmax,
-            max(41, int((res.alpha_eps + 0.55 - sa) / 0.01)),
-            max(41, int((wmax + 0.02) / 0.01)),
-        )
-        grid = grid_psa(system, pert, region, refine_iters=3)
-        worst = max(worst, abs(res.alpha_eps - grid.value))
+        worst = max(worst,
+                    abs(res.alpha_eps - grid_alpha_ref(system, pert, res)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 2e-3 and elapsed < 60.0
     report(3, "oracle equivalence x10", ok,

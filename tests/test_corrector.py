@@ -370,6 +370,19 @@ def test_gauss_newton_diverged_exit(monkeypatch):
     assert np.all(np.diff(run.residual_norms) > 0.0)
 
 
+def crossing_prediction(sys, pert, N=15):
+    """predict(sys, pert), with its frequencies replaced by the two
+    crossings of the level set with Re lam = alpha_pred: two starts."""
+    pred = predict(sys, pert, N=N, tol=1e-3)
+    shifted_sys, shifted_pert = shift_system(sys, pert, pred.shift_used)
+    ham = hamiltonian(assemble(shifted_sys, N), shifted_pert,
+                      pred.alpha_pred - pred.shift_used)
+    pred = dataclasses.replace(pred,
+                               frequencies=imaginary_axis_frequencies(ham))
+    assert len(pred.frequencies) == 2
+    return pred
+
+
 def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
     solve = numerics.least_squares_real
     calls = []
@@ -380,15 +393,7 @@ def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
             raise numerics.RankDeficientError(0, jac.shape[1])
         return solve(jac, res)
 
-    # two starts: the crossings of the level set with Re lam = alpha_pred
-    pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
-    shifted_sys, shifted_pert = shift_system(one_delay, one_delay_pert,
-                                             pred.shift_used)
-    ham = hamiltonian(assemble(shifted_sys, 15), shifted_pert,
-                      pred.alpha_pred - pred.shift_used)
-    pred = dataclasses.replace(pred,
-                               frequencies=imaginary_axis_frequencies(ham))
-    assert len(pred.frequencies) == 2
+    pred = crossing_prediction(one_delay, one_delay_pert)
     monkeypatch.setattr(numerics, "least_squares_real", first_fails)
     res = correct(one_delay, one_delay_pert, pred)
     failed, kept = res.per_start
@@ -420,13 +425,19 @@ def distinct_solutions(res, tol=1e-8):
 
 
 def test_correct_one_delay_frozen(one_delay, one_delay_pert):
-    pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
-    res = correct(one_delay, one_delay_pert, pred)
+    # both crossings of Re lam = alpha_pred straddle one extremal point
+    res = correct(one_delay, one_delay_pert,
+                  crossing_prediction(one_delay, one_delay_pert))
     assert abs(res.alpha_eps - ALPHA_EPS_ONE_DELAY) < 1e-10
     assert abs(res.omega_eps - OMEGA_EPS_ONE_DELAY) < 1e-8
+    assert len(res.per_start) == 2
     assert all(s.converged for s in res.per_start)
-    # every predicted frequency leads to one extremal point
     assert len(distinct_solutions(res)) == 1
+    # the frequency the predictor hands over reaches the same point
+    res = correct(one_delay, one_delay_pert,
+                  predict(one_delay, one_delay_pert, N=15, tol=1e-3))
+    assert abs(res.alpha_eps - ALPHA_EPS_ONE_DELAY) < 1e-10
+    assert abs(res.omega_eps - OMEGA_EPS_ONE_DELAY) < 1e-8
 
 
 def test_corrected_point_sits_on_level_set(one_delay, one_delay_pert):

@@ -16,9 +16,8 @@ from delaypsa import (
     predict,
     shift_system,
 )
-from delaypsa.oracle import frequency_bound
 
-from conftest import _criterion10_plant, delay_free
+from conftest import _criterion10_plant, delay_free, grid_alpha_ref
 
 _REGION = GridRegion(-1.0, 0.5, 0.0, 2.0, 5, 5)
 _PREDICTION = PredictionResult(alpha_pred=-0.2, frequencies=np.array([1.3]),
@@ -117,12 +116,4 @@ def test_handed_off_frequencies_start_the_corrector(case):
     res = compute_psa(system, pert, N=15, tol=1e-3)
     assert res.prediction.frequencies.size
     assert all(s.converged for s in res.correction.per_start)
-    sa = res.prediction.shift_used
-    wmax = min(frequency_bound(system, pert, sa - 0.05), 40.0)
-    region = GridRegion(
-        sa - 0.05, res.alpha_eps + 0.5, -0.02, wmax,
-        max(41, int((res.alpha_eps + 0.55 - sa) / 0.01)),
-        max(41, int((wmax + 0.02) / 0.01)),
-    )
-    alpha_ref = grid_psa(system, pert, region, refine_iters=3).value
-    assert abs(res.alpha_eps - alpha_ref) <= 2e-3
+    assert abs(res.alpha_eps - grid_alpha_ref(system, pert, res)) <= 2e-3
