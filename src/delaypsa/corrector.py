@@ -200,7 +200,7 @@ def gauss_newton(system, pert, start, gn_tol=None):
         sigma=float(start.sigma),
         anchor=start.anchor.astype(complex),
     )
-    scale = max(np.linalg.norm(a, 2) for a in system.matrices)
+    scale = max(system.norms)
     threshold = (1e-10 if gn_tol is None else float(gn_tol)) * (1.0 + scale)
     norms = []
     grew = 0

@@ -10,16 +10,17 @@ of complex lam where the level function
 
 exceeds 1/epsilon, with F the characteristic matrix.  f is evaluated
 through the smallest singular value, never by forming an inverse, and is
-+inf exactly at characteristic roots.  `char_matrix` and `eval_weight` are
-the only places that write F, w and their derivatives, with one exception:
-`oracle._smallest_singular` builds its stacks of F in place, and a test
-holds it to char_matrix bit for bit.
++inf exactly at characteristic roots.  `char_matrix` (also on an array of
+lam) and `eval_weight` are the only places that write F, w and their
+derivatives, with one exception: `oracle._smallest_singular` builds its
+stacks of F in place, and a test holds it to char_matrix bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class TimeDelaySystem:
     def tau_max(self):
         return max(self.delays)
 
+    @cached_property
+    def norms(self):
+        """Spectral norms (||A_0||_2, ..., ||A_m||_2), computed once."""
+        return tuple(float(np.linalg.norm(a, 2)) for a in self.matrices)
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -115,21 +121,17 @@ def check_pair(system, pert):
 
 
 def char_matrix(system, lam, k=0):
-    """k-th lam-derivative of the characteristic matrix at a scalar lam.
+    """k-th lam-derivative of the characteristic matrix, shape (..., n, n).
 
     k = 0 gives F(lam) = lam*I - sum_i A_i exp(-lam*tau_i), k = 1 gives
     I + sum_i tau_i A_i exp(-lam*tau_i), and k >= 2 gives
-    -sum_i (-tau_i)^k A_i exp(-lam*tau_i).
+    -sum_i (-tau_i)^k A_i exp(-lam*tau_i).  An array of lam gives the stack
+    of these matrices, each equal bit for bit to the call at its entry.
     """
-    lam = complex(lam)
-    if k == 0:
-        f = lam * np.eye(system.n, dtype=complex)
-    elif k == 1:
-        f = np.eye(system.n, dtype=complex)
-    else:
-        f = np.zeros((system.n, system.n), dtype=complex)
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    f = (lam if k == 0 else float(k == 1)) * np.eye(system.n, dtype=complex)
     for tau, a in zip(system.delays, system.matrices):
-        f -= ((-tau) ** k * a) * np.exp(-lam * tau)
+        f = f - ((-tau) ** k * a) * np.exp(-lam * tau)
     return f
 
 

@@ -63,10 +63,10 @@ def eig_real(matrix):
 
 
 def svd_complex(matrix, vectors=False):
-    """Singular value decomposition of a complex (or real) matrix."""
+    """SVD of a complex (or real) matrix, or of each matrix of a stack."""
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("svd_complex expects a 2-d array")
+    if a.ndim < 2:
+        raise ValueError("svd_complex expects a 2-d array or a stack")
     try:
         if vectors:
             u, s, vh = np.linalg.svd(a)
@@ -91,7 +91,8 @@ def singular_values(stack):
 
 
 def solve_complex(a, b):
-    """Solve a x = b for square complex a; SingularMatrixError if singular."""
+    """Solve a x = b for square complex a, or for each a of a stack with b
+    of shape (..., p, k); SingularMatrixError if any a is singular."""
     a = np.asarray(a, dtype=complex)
     try:
         return np.linalg.solve(a, np.asarray(b, dtype=complex))

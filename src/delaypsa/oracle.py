@@ -164,9 +164,9 @@ def frequency_bound(system, pert, sigma_min):
     check_pair(system, pert)
     try:
         total = pert.epsilon * eval_weight(pert, system, sigma_min)
-        for tau, a in zip(system.delays, system.matrices):
-            # float: an overflowing product is inf, not a numpy warning
-            total += float(np.linalg.norm(a, 2)) * math.exp(-sigma_min * tau)
+        for tau, na in zip(system.delays, system.norms):
+            # floats: an overflowing product is inf, not a numpy warning
+            total += na * math.exp(-sigma_min * tau)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
@@ -286,7 +286,7 @@ def _place(system, pert, re, im, rightmost=False):
     """
     shape = (len(im), len(re))
     w = _weight_row(system, pert, re)
-    norms = [np.linalg.norm(a, 2) for a in system.matrices]
+    norms = system.norms
     z0 = complex(re[0] + re[-1], im[0] + im[-1]) / 2
     with np.errstate(over="ignore", invalid="ignore"):  # inf where it overflows
         fp = char_matrix(system, z0, 1)

@@ -72,60 +72,69 @@ class PredictionResult:
     roots: tuple = ()
 
 
-def _newton_root(system, lam0, tol, max_iter):
-    """Newton iteration on [F(lam) v; c* v - 1] = 0 from a starting guess."""
+def _newton_roots(system, starts, tol, max_iter):
+    """Newton on [F(lam) v; c* v - 1] = 0 from all starts at once; (lam, ok).
+
+    Each start runs as if alone: its residual is tested before each of at
+    most max_iter steps, and a singular Jacobian or non-finite lam ends it.
+    """
     n = system.n
-    f = char_matrix(system, lam0)
-    sv = numerics.svd_complex(f, vectors=True)
-    v = sv.right_h[-1].conj()
-    c = v.copy()
-    lam = complex(lam0)
+    lam = np.array(starts, dtype=complex)
+    ok = np.zeros(lam.shape, dtype=bool)
+    f = char_matrix(system, lam)
+    v = numerics.svd_complex(f, vectors=True).right_h[:, -1].conj()
+    c = v.conj()[:, None, :]  # the rows c*
+    live = np.arange(lam.size)  # starts still iterating; f is F at lam[live]
     for _ in range(max_iter):
-        f = char_matrix(system, lam)
-        res_top = f @ v
-        res_norm = math.hypot(
-            float(np.linalg.norm(res_top)), abs(c.conj() @ v - 1.0)
-        )
-        if res_norm <= tol:
-            return lam, True
-        jac = np.zeros((n + 1, n + 1), dtype=complex)
-        jac[:n, :n] = f
-        jac[:n, n] = char_matrix(system, lam, 1) @ v
-        jac[n, :n] = c.conj()
-        rhs = np.concatenate([-res_top, [1.0 - c.conj() @ v]])
+        res = np.concatenate([f @ v[live, :, None],
+                              c[live] @ v[live, :, None] - 1.0], axis=1)
+        ok[live] = np.linalg.norm(res[:, :, 0], axis=1) <= tol
+        run = ~ok[live]
+        live, f, res = live[run], f[run], res[run]
+        if not live.size:
+            break
+        jac = np.zeros((live.size, n + 1, n + 1), dtype=complex)
+        jac[:, :n, :n] = f
+        jac[:, :n, n:] = char_matrix(system, lam[live], 1) @ v[live, :, None]
+        jac[:, n:, :n] = c[live]
+        solved = np.ones(live.size, dtype=bool)
         try:
-            step = numerics.solve_complex(jac, rhs)
-        except numerics.SingularMatrixError:
-            return lam, False
-        v = v + step[:n]
-        lam = lam + step[n]
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            return lam, False
-    return lam, False
+            step = numerics.solve_complex(jac, -res)
+        except numerics.SingularMatrixError:  # drop only the singular ones
+            step = np.zeros_like(res)
+            for i in range(live.size):
+                try:
+                    step[i] = numerics.solve_complex(jac[i], -res[i])
+                except numerics.SingularMatrixError:
+                    solved[i] = False
+        v[live] += step[:, :n, 0]
+        lam[live] += step[:, n, 0]
+        live = live[solved & np.isfinite(lam[live])]
+        f = char_matrix(system, lam[live])
+    return lam, ok
 
 
 def spectral_abscissa_exact(system, disc):
     """Spectral abscissa of the true characteristic matrix.
 
     Newton-corrects the 10 rightmost eigenvalues of the collocation matrix
-    on the exact root equations F(lam) v = 0, c* v = 1 (at most 40 steps
-    each, to a residual of 1e-12 * (1 + max ||A_i||_2)).  Falls back to the
-    discretized abscissa, with no roots, if no start converges.
+    on the exact root equations F(lam) v = 0, c* v = 1, all starts together
+    (`_newton_roots`), each with its own 40 steps, residual tolerance
+    1e-12 * (1 + max ||A_i||_2) and failure exit, as if alone.  Falls back
+    to the discretized abscissa, with no roots, if no start converges.
     """
     vals = disc.eigenvalues
     starts = vals[np.argsort(-vals.real)][:10]
-    scale = 1.0 + max(np.linalg.norm(a, 2) for a in system.matrices)
+    lams, oks = _newton_roots(system, starts, 1e-12 * (1.0 + max(system.norms)),
+                              max_iter=40)
     roots = []
-    for lam0 in starts:
-        lam, ok = _newton_root(system, lam0, tol=1e-12 * scale, max_iter=40)
-        if ok:
-            if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
-                roots.append(lam)
+    for lam in lams[oks].tolist():  # deduplicated in start order
+        if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
+            roots.append(lam)
     if not roots:
         return SpectralAbscissa(spectral_abscissa_approx(disc), ())
-    value = max(r.real for r in roots)
     roots.sort(key=lambda r: (-r.real, abs(r.imag)))
-    return SpectralAbscissa(float(value), tuple(roots))
+    return SpectralAbscissa(roots[0].real, tuple(roots))
 
 
 def hamiltonian(disc, pert, sigma):

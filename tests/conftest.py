@@ -10,9 +10,10 @@ from delaypsa import (
     grid_psa,
     numerics,
 )
-from delaypsa.discretization import level_approx
-from delaypsa.model import check_pair
+from delaypsa.discretization import level_approx, spectral_abscissa_approx
+from delaypsa.model import char_matrix, check_pair
 from delaypsa.oracle import frequency_bound
+from delaypsa.predictor import SpectralAbscissa
 
 
 @pytest.fixture
@@ -64,6 +65,13 @@ def _stiff_plant(rng, n, m):
     return TimeDelaySystem(delays, mats)
 
 
+def _small_batch_plant(rng, n, m):
+    # the small-batch benchmark workload's recipe
+    mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
 def _wide_plant(rng, n, m):
     # the wrong-basin reproducer's recipe (ROADMAP item 1)
     mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
@@ -83,6 +91,60 @@ def grid_alpha_ref(system, pert, res):
         max(41, int((wmax + 0.02) / 0.01)),
     )
     return grid_psa(system, pert, region, refine_iters=3).value
+
+
+# the per-start Newton loop that spectral_abscissa_exact ran before it
+# refined its starts together; the batched iteration must reproduce it
+
+
+def newton_root(system, lam0, tol, max_iter):
+    """Newton iteration on [F(lam) v; c* v - 1] = 0 from a starting guess."""
+    n = system.n
+    f = char_matrix(system, lam0)
+    sv = numerics.svd_complex(f, vectors=True)
+    v = sv.right_h[-1].conj()
+    c = v.copy()
+    lam = complex(lam0)
+    for _ in range(max_iter):
+        f = char_matrix(system, lam)
+        res_top = f @ v
+        res_norm = math.hypot(
+            float(np.linalg.norm(res_top)), abs(c.conj() @ v - 1.0)
+        )
+        if res_norm <= tol:
+            return lam, True
+        jac = np.zeros((n + 1, n + 1), dtype=complex)
+        jac[:n, :n] = f
+        jac[:n, n] = char_matrix(system, lam, 1) @ v
+        jac[n, :n] = c.conj()
+        rhs = np.concatenate([-res_top, [1.0 - c.conj() @ v]])
+        try:
+            step = numerics.solve_complex(jac, rhs)
+        except numerics.SingularMatrixError:
+            return lam, False
+        v = v + step[:n]
+        lam = lam + step[n]
+        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+            return lam, False
+    return lam, False
+
+
+def spectral_abscissa_reference(system, disc):
+    """spectral_abscissa_exact with each start refined alone by newton_root."""
+    vals = disc.eigenvalues
+    starts = vals[np.argsort(-vals.real)][:10]
+    scale = 1.0 + max(np.linalg.norm(a, 2) for a in system.matrices)
+    roots = []
+    for lam0 in starts:
+        lam, ok = newton_root(system, lam0, tol=1e-12 * scale, max_iter=40)
+        if ok:
+            if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
+                roots.append(lam)
+    if not roots:
+        return SpectralAbscissa(spectral_abscissa_approx(disc), ())
+    value = max(r.real for r in roots)
+    roots.sort(key=lambda r: (-r.real, abs(r.imag)))
+    return SpectralAbscissa(float(value), tuple(roots))
 
 
 # reference computations on the discretization, used only by tests

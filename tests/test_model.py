@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from delaypsa import (
     char_matrix,
     eval_level,
     eval_weight,
+    numerics,
     shift_system,
 )
 from delaypsa.model import check_pair
@@ -64,6 +66,15 @@ def test_system_matrices_are_read_only_copies():
     assert system.matrices[0][0, 0] == 1.0
 
 
+def test_system_norms_are_cached_and_read_only():
+    system = TimeDelaySystem((0.0, 1.0), (np.diag([3.0, -4.0]), [[1.0, 1.0],
+                                                                 [1.0, 1.0]]))
+    assert system.norms == (4.0, float(np.linalg.norm(system.matrices[1], 2)))
+    assert system.norms is system.norms
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.norms = (0.0, 0.0)
+
+
 def test_systems_hash_and_compare_by_identity():
     a = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
     b = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
@@ -99,6 +110,36 @@ def test_char_matrix_slope_matches_finite_differences():
     h = 1e-6
     fd = (char_matrix(sys1, lam + h) - char_matrix(sys1, lam - h)) / (2 * h)
     assert np.max(np.abs(char_matrix(sys1, lam, 1) - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _wide_plant])
+def test_char_matrix_stack_matches_scalar_calls(recipe):
+    # an array of lam gives the stack of the scalar calls, bit for bit
+    for seed in range(10):
+        rng = np.random.default_rng([43, seed])
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        system = recipe(rng, n, m)
+        lam = rng.uniform(-2.0, 2.0, (2, 3)) + 1j * rng.uniform(-5.0, 5.0, (2, 3))
+        for k in range(3):
+            stack = char_matrix(system, lam, k)
+            assert stack.shape == (2, 3, n, n)
+            for idx in np.ndindex(lam.shape):
+                one = char_matrix(system, lam[idx], k)
+                assert one.shape == (n, n)
+                assert stack[idx].tobytes() == one.tobytes()
+
+
+def test_char_matrix_stack_with_a_root_is_singular():
+    # F(-1) of x' = diag(-1, -3) x is singular; solving the stack must
+    # still raise the typed error
+    system = TimeDelaySystem((0.0,), (np.diag([-1.0, -3.0]),))
+    stack = char_matrix(system, np.array([0.5, -1.0, 2.0]))
+    rhs = np.ones((3, 2, 1), dtype=complex)
+    with pytest.raises(numerics.SingularMatrixError):
+        numerics.solve_complex(stack, rhs)
+    x = numerics.solve_complex(stack[[0, 2]], rhs[[0, 2]])
+    assert np.allclose(x[:, :, 0], [[1 / 1.5, 1 / 3.5], [1 / 3.0, 1 / 5.0]])
 
 
 def test_weight_eight_unit_terms():

@@ -66,6 +66,16 @@ def test_batched_singular_values_match_loop():
         assert np.allclose(batched[k], numerics.svd_complex(stack[k]).values)
 
 
+def test_svd_stack_matches_loop():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    batched = numerics.svd_complex(stack, vectors=True)
+    for k in range(4):
+        one = numerics.svd_complex(stack[k], vectors=True)
+        assert np.array_equal(batched.values[k], one.values)
+        assert np.array_equal(batched.right_h[k], one.right_h)
+
+
 def test_solve_identity():
     b = np.array([1.0 + 2.0j, -3.0j])
     assert np.allclose(numerics.solve_complex(np.eye(2), b), b)

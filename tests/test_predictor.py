@@ -14,7 +14,7 @@ from delaypsa.discretization import (
     level_approx,
     spectral_abscissa_approx,
 )
-from delaypsa.model import shift_system
+from delaypsa.model import char_matrix, shift_system
 from delaypsa.numerics import svd_complex
 from delaypsa.predictor import (
     PredictionError,
@@ -24,7 +24,15 @@ from delaypsa.predictor import (
     spectral_abscissa_exact,
 )
 
-from conftest import _criterion10_plant, _stiff_plant, _wide_plant, delay_free
+from conftest import (
+    _criterion10_plant,
+    _small_batch_plant,
+    _stiff_plant,
+    _wide_plant,
+    delay_free,
+    newton_root,
+    spectral_abscissa_reference,
+)
 
 # principal root pair of lam + exp(-lam) = 0, frozen from an independent
 # Newton iteration at 1e-14 residual
@@ -74,8 +82,9 @@ def test_abscissa_fallback_when_newton_fails(monkeypatch, one_delay,
         on_a_n.append(np.array_equal(matrix, a_n))
         return eig(matrix)
 
-    monkeypatch.setattr(predictor, "_newton_root",
-                        lambda system, lam0, tol, max_iter: (lam0, False))
+    monkeypatch.setattr(
+        predictor, "_newton_roots", lambda system, starts, tol, max_iter:
+        (np.array(starts), np.zeros(len(starts), dtype=bool)))
     monkeypatch.setattr(numerics, "eig_real", counted)
     res = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     assert sum(on_a_n) == 1
@@ -83,6 +92,59 @@ def test_abscissa_fallback_when_newton_fails(monkeypatch, one_delay,
                for w in res.warnings)
     assert res.roots == ()
     assert res.shift_used == spectral_abscissa_approx(assemble(one_delay, 15))
+
+
+@pytest.mark.parametrize("recipe", [_small_batch_plant, _wide_plant,
+                                    _criterion10_plant, _stiff_plant])
+def test_abscissa_matches_per_start_reference(recipe):
+    # refining the starts together changes no start's iteration: the
+    # same value and roots, up to rounding of the stacked products
+    for seed in range(40):
+        rng = np.random.default_rng([18, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        disc = assemble(system, 15)
+        got = spectral_abscissa_exact(system, disc)
+        want = spectral_abscissa_reference(system, disc)
+        assert len(got.roots) == len(want.roots)
+        for a, b in zip((got.value, *got.roots), (want.value, *want.roots)):
+            assert abs(a - b) <= 1e-15 * abs(b)
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
+    # one start's Jacobian is singular, or its first step infinite: that
+    # start ends unconverged and every other start ends as it does alone
+    system = _small_batch_plant(np.random.default_rng(7), 2, 2)
+    vals = assemble(system, 15).eigenvalues
+    starts = vals[np.argsort(-vals.real)][:10]
+    tol = 1e-12 * (1.0 + max(system.norms))
+    want = [newton_root(system, s, tol, 40) for s in starts]
+    bad = next(k for k, (_, ok) in enumerate(want)  # one that takes a step
+               if ok and not newton_root(system, starts[k], tol, 1)[1])
+    anchor = svd_complex(char_matrix(system, starts[bad]),
+                         vectors=True).right_h[-1]  # its row c*
+    solve, n = numerics.solve_complex, system.n
+
+    def failing(a, b):
+        hit = np.all(a[..., n, :n] == anchor, axis=-1)
+        if failure == "singular" and hit.any():
+            raise numerics.SingularMatrixError("singular")
+        x = solve(a, b)
+        if failure == "non-finite":
+            x[hit] = np.inf
+        return x
+
+    monkeypatch.setattr(numerics, "solve_complex", failing)
+    lam, ok = predictor._newton_roots(system, starts, tol, 40)
+    assert not ok[bad]
+    assert (lam[bad] == starts[bad]) if failure == "singular" else (
+        not np.isfinite(lam[bad]))
+    for k, (lam_k, ok_k) in enumerate(want):
+        if k != bad:
+            assert ok[k] == ok_k
+            assert not ok_k or abs(lam[k] - lam_k) <= 1e-15 * abs(lam_k)
+    assert sum(ok) == sum(ok_k for _, ok_k in want) - 1
 
 
 def test_abscissa_roots_actually_solve(one_delay):
