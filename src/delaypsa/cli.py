@@ -95,10 +95,11 @@ def _write(text, output):
         sys.stdout.write(text)
 
 
-def _override_epsilon(pert, epsilon):
-    if epsilon is None:
-        return pert
-    return PerturbationSpec(pert.weights, epsilon)
+def _load(args):  # the system file, with --epsilon applied
+    name, system, pert = load_system_file(args.system)
+    if args.epsilon is not None:
+        pert = PerturbationSpec(pert.weights, args.epsilon)
+    return name, system, pert
 
 
 def _region_from_args(args):
@@ -107,8 +108,7 @@ def _region_from_args(args):
 
 
 def cmd_compute(args):
-    name, system, pert = load_system_file(args.system)
-    pert = _override_epsilon(pert, args.epsilon)
+    name, system, pert = _load(args)
     t0 = time.perf_counter()
     try:
         result = compute_psa(system, pert, N=args.N, tol=args.tol,
@@ -141,8 +141,7 @@ def cmd_compute(args):
 
 
 def cmd_contour(args):
-    name, system, pert = load_system_file(args.system)
-    pert = _override_epsilon(pert, args.epsilon)
+    name, system, pert = _load(args)
     region = _region_from_args(args)
     curves = contours(system, pert, region)
     prediction = predict(system, pert, N=args.N, tol=args.tol)
@@ -173,8 +172,7 @@ def cmd_contour(args):
 
 
 def cmd_oracle(args):
-    name, system, pert = load_system_file(args.system)
-    pert = _override_epsilon(pert, args.epsilon)
+    name, system, pert = _load(args)
     region = _region_from_args(args)
     result = grid_psa(system, pert, region, refine_iters=args.refine)
     record = {

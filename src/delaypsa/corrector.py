@@ -192,7 +192,8 @@ def gauss_newton(system, pert, start, gn_tol=None):
     is rank deficient, so the error no longer depends on the start; the
     returned state is then one step past the last of residual_norms, which
     holds only the norms evaluated, and the step is not counted in
-    iterations.  The result is also `correct`'s per-start record.
+    iterations.  The result is also `correct`'s per-start record.  Raises
+    ValueError unless 0 < gn_tol < inf.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -201,7 +202,10 @@ def gauss_newton(system, pert, start, gn_tol=None):
         anchor=start.anchor.astype(complex),
     )
     scale = max(system.norms)
-    threshold = (1e-10 if gn_tol is None else float(gn_tol)) * (1.0 + scale)
+    gn_tol = 1e-10 if gn_tol is None else float(gn_tol)
+    if not 0.0 < gn_tol < math.inf:
+        raise ValueError(f"gn_tol must be positive and finite, got {gn_tol!r}")
+    threshold = gn_tol * (1.0 + scale)
     norms = []
     grew = 0
     stalled = False

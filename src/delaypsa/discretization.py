@@ -12,6 +12,7 @@ characteristic roots.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,10 +118,6 @@ class Discretization:
     def N(self):
         return self.mesh.N
 
-    @property
-    def n(self):
-        return self.system.n
-
     @cached_property
     def eigenvalues(self):
         """Eigenvalues of A_N (read-only), computed on first use."""
@@ -135,9 +132,13 @@ def assemble(system, N):
     The top N block rows replicate the differentiation matrix (d[i, k] I);
     the bottom block row applies the delay matrices through the Lagrange
     values at the delay points, splicing the derivative condition at 0 into
-    the mesh.  Delay-free systems admit N = 0 (A_N = A_0, B_N = I); for
-    m >= 1 the mesh spans [-tau_max, 0].
+    the mesh.  N is an integer.  Delay-free systems admit N = 0 (A_N = A_0,
+    B_N = I); for m >= 1 the mesh spans [-tau_max, 0].
     """
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"invalid N: must be an integer, got {N!r}") from None
     n = system.n
     if N == 0:
         if system.m != 0:
@@ -147,8 +148,6 @@ def assemble(system, N):
             system, mesh, np.zeros((1, 1)),
             system.matrices[0], np.eye(n), np.zeros((0, 1)),
         )
-    if N < 0:
-        raise ValueError("invalid N: must be >= 0")
     # delay-free systems carry the mesh on a dummy unit interval; all the
     # delayed couplings below vanish so only spurious differentiation modes
     # are added, and those sit far in the left half plane
@@ -180,14 +179,9 @@ def rational_exp_nodes(disc, lam):
     entry k is p_N(points[k]; lam) for the N interior (leftmost) nodes.
     """
     N = disc.N
-    if N == 0:
-        return np.zeros(0, dtype=complex)
-    d11 = disc.D[:N, :N]
-    d12 = disc.D[:N, N]
     try:
-        return numerics.solve_complex(
-            lam * np.eye(N) - d11, d12.astype(complex)
-        )
+        return numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
+                                      disc.D[:N, N].astype(complex))
     except numerics.SingularMatrixError as exc:
         raise SingularResolventError(
             f"lam={lam} is a pole of the rational exponential approximation"

@@ -11,9 +11,8 @@ of complex lam where the level function
 exceeds 1/epsilon, with F the characteristic matrix.  f is evaluated
 through the smallest singular value, never by forming an inverse, and is
 +inf exactly at characteristic roots.  `char_matrix` (also on an array of
-lam) and `eval_weight` are the only places that write F, w and their
-derivatives, with one exception: `oracle._smallest_singular` builds its
-stacks of F in place, and a test holds it to char_matrix bit for bit.
+lam, as in the oracle's sigma_min sweeps) and `eval_weight` are the only
+places that write F, w and their derivatives.
 """
 
 from __future__ import annotations
@@ -129,9 +128,10 @@ def char_matrix(system, lam, k=0):
     of these matrices, each equal bit for bit to the call at its entry.
     """
     lam = np.asarray(lam, dtype=complex)[..., None, None]
-    f = (lam if k == 0 else float(k == 1)) * np.eye(system.n, dtype=complex)
+    # f has the result's shape for every k, so the terms subtract in place
+    f = (lam if k == 0 else np.full_like(lam, k == 1)) * np.eye(system.n, dtype=complex)
     for tau, a in zip(system.delays, system.matrices):
-        f = f - ((-tau) ** k * a) * np.exp(-lam * tau)
+        f -= ((-tau) ** k * a) * np.exp(-lam * tau)
     return f
 
 

@@ -19,19 +19,15 @@ class DelayPsaError(Exception):
     """Base class of the package's own exceptions (bad input raises ValueError)."""
 
 
-class NumericsError(DelayPsaError):
-    """Base class for kernel failures."""
-
-
-class NoConvergenceError(NumericsError):
+class NoConvergenceError(DelayPsaError):
     """Iterative eigenvalue / singular value phase did not converge."""
 
 
-class SingularMatrixError(NumericsError):
+class SingularMatrixError(DelayPsaError):
     """Linear solve hit an exactly singular matrix."""
 
 
-class RankDeficientError(NumericsError):
+class RankDeficientError(DelayPsaError):
     """Least-squares matrix has numerically deficient column rank."""
 
     def __init__(self, rank, needed):

@@ -26,7 +26,7 @@ import numpy as np
 from . import numerics
 from .model import char_matrix, check_pair, eval_weight
 
-_CHUNK = 200_000  # grid points per batched SVD call, bounds memory
+_CHUNK = 200_000  # matrix entries per batched SVD call, bounds memory
 _STRIDES = (4, 2)  # lattices _place evaluates before the undecided nodes
 _MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||
 
@@ -64,24 +64,14 @@ class GridRegion:
 
 
 def _smallest_singular(system, lam):
-    """sigma_min(F(lam)) at every point of the array lam, evaluated in chunks.
-
-    Each chunk's stack lam*I - sum_i A_i exp(-lam*tau_i) is built in place
-    through one scratch stack, so no stack is allocated per delay.
-    """
+    """sigma_min(F(lam)) at every point of the array lam, from char_matrix
+    stacks of at most _CHUNK matrix entries each."""
     flat = lam.ravel()
-    n = system.n
-    eye = np.eye(n, dtype=complex)
-    step = max(1, _CHUNK // (n * n))
+    step = max(1, _CHUNK // (system.n * system.n))
     out = np.empty(flat.size)
-    for start in range(0, flat.size, step):
-        chunk = flat[start : start + step]
-        mats = chunk[:, None, None] * eye
-        tmp = np.empty_like(mats)
-        for tau, a in zip(system.delays, system.matrices):
-            np.multiply(np.exp(-chunk * tau)[:, None, None], a, out=tmp)
-            np.subtract(mats, tmp, out=mats)
-        out[start : start + len(chunk)] = numerics.singular_values(mats)[:, -1]
+    for start in range(0, flat.size, step):  # one stack alive at a time
+        out[start : start + step] = numerics.singular_values(
+            char_matrix(system, flat[start : start + step]))[:, -1]
     return out.reshape(lam.shape)
 
 

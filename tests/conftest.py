@@ -12,7 +12,7 @@ from delaypsa import (
 )
 from delaypsa.discretization import level_approx, spectral_abscissa_approx
 from delaypsa.model import char_matrix, check_pair
-from delaypsa.oracle import frequency_bound
+from delaypsa.oracle import _CHUNK, frequency_bound
 from delaypsa.predictor import SpectralAbscissa
 
 
@@ -145,6 +145,42 @@ def spectral_abscissa_reference(system, disc):
     value = max(r.real for r in roots)
     roots.sort(key=lambda r: (-r.real, abs(r.imag)))
     return SpectralAbscissa(float(value), tuple(roots))
+
+
+# char_matrix as it was before it filled one buffer in place, and the
+# oracle's sigma_min sweep as it was before it called char_matrix; the
+# kernels that replaced them must reproduce them bit for bit
+
+
+def char_matrix_reference(system, lam, k=0):
+    """k-th lam-derivative of F, one new stack per delay term."""
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    f = (lam if k == 0 else float(k == 1)) * np.eye(system.n, dtype=complex)
+    for tau, a in zip(system.delays, system.matrices):
+        f = f - ((-tau) ** k * a) * np.exp(-lam * tau)
+    return f
+
+
+def smallest_singular_reference(system, lam):
+    """sigma_min(F(lam)) at every point of the array lam, evaluated in chunks.
+
+    Each chunk's stack lam*I - sum_i A_i exp(-lam*tau_i) is built in place
+    through one scratch stack, so no stack is allocated per delay.
+    """
+    flat = lam.ravel()
+    n = system.n
+    eye = np.eye(n, dtype=complex)
+    step = max(1, _CHUNK // (n * n))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, step):
+        chunk = flat[start : start + step]
+        mats = chunk[:, None, None] * eye
+        tmp = np.empty_like(mats)
+        for tau, a in zip(system.delays, system.matrices):
+            np.multiply(np.exp(-chunk * tau)[:, None, None], a, out=tmp)
+            np.subtract(mats, tmp, out=mats)
+        out[start : start + len(chunk)] = numerics.singular_values(mats)[:, -1]
+    return out.reshape(lam.shape)
 
 
 # reference computations on the discretization, used only by tests

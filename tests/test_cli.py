@@ -180,6 +180,14 @@ def test_compute_all_starts_failed_exit_code(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def test_compute_rejects_nonpositive_gn_tol(tmp_path, capsys):
+    path = write_file(tmp_path, ONE_DELAY)
+    code, out, err = run(capsys, "compute", path, "--gn-tol", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "gn_tol" in err
+
+
 # --- contour ------------------------------------------------------------------
 
 

@@ -454,6 +454,26 @@ def test_correct_reports_failures(one_delay, one_delay_pert):
         correct(one_delay, one_delay_pert, pred, gn_tol=1e-30)
 
 
+@pytest.mark.parametrize("gn_tol", [0.0, -1e-10, math.nan, math.inf])
+def test_gn_tol_outside_range_is_rejected(one_delay, one_delay_pert, gn_tol):
+    # a bound that is never met would spend every start's budget, and one
+    # that is always met would mark the first iterate converged
+    pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
+    with pytest.raises(ValueError, match="gn_tol"):
+        correct(one_delay, one_delay_pert, pred, gn_tol=gn_tol)
+    with pytest.raises(ValueError, match="gn_tol"):
+        gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
+                     disk_state(0.0, 0.25), gn_tol=gn_tol)
+
+
+def test_gn_tol_extremes_inside_range_are_accepted():
+    pert = PerturbationSpec((1.0,), 0.25)
+    for gn_tol in (5e-324, 1e308):
+        run = gauss_newton(delay_free(0.0), pert, disk_state(0.0, 0.25),
+                           gn_tol=gn_tol)
+        assert run.status in ("converged", "stalled")
+
+
 def test_correct_requires_frequencies(one_delay, one_delay_pert):
     empty = PredictionResult(
         alpha_pred=0.0, frequencies=np.array([]), iterations=0,

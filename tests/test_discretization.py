@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem, char_matrix, numerics
+from delaypsa import (
+    PerturbationSpec,
+    TimeDelaySystem,
+    char_matrix,
+    compute_psa,
+    numerics,
+)
 from delaypsa.discretization import (
     SingularResolventError,
     assemble,
@@ -156,6 +162,23 @@ def test_assemble_delay_free_n0():
     disc = assemble(TimeDelaySystem((0.0,), (a0,)), 0)
     assert np.array_equal(disc.state_matrix, a0)
     assert np.array_equal(disc.input_matrix, np.eye(2))
+
+
+def test_assemble_rejects_invalid_n(one_delay):
+    for N in (2.5, 6.0, "6", None):
+        with pytest.raises(ValueError, match="^invalid N"):
+            assemble(one_delay, N)
+    for N in (-1, -3):
+        with pytest.raises(ValueError, match="^invalid N"):
+            assemble(one_delay, N)
+        with pytest.raises(ValueError, match="^invalid N"):
+            assemble(delay_free(1.0), N)
+    with pytest.raises(ValueError, match="^invalid N"):
+        compute_psa(one_delay, PerturbationSpec((1.0, 1.0), 0.1), N=2.5)
+    # numpy integers are integers
+    disc = assemble(one_delay, np.int64(6))
+    assert disc.N == 6 and type(disc.N) is int
+    assert np.array_equal(disc.state_matrix, assemble(one_delay, 6).state_matrix)
 
 
 # --- rational exponential approximation ------------------------------------

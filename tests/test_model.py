@@ -15,7 +15,14 @@ from delaypsa import (
 )
 from delaypsa.model import check_pair
 
-from conftest import _criterion10_plant, _stiff_plant, _wide_plant, delay_free
+from conftest import (
+    _criterion10_plant,
+    _small_batch_plant,
+    _stiff_plant,
+    _wide_plant,
+    char_matrix_reference,
+    delay_free,
+)
 
 
 def test_valid_delay_free_scalar():
@@ -128,6 +135,24 @@ def test_char_matrix_stack_matches_scalar_calls(recipe):
                 one = char_matrix(system, lam[idx], k)
                 assert one.shape == (n, n)
                 assert stack[idx].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _wide_plant, _small_batch_plant])
+def test_char_matrix_matches_reference(recipe):
+    # filling one buffer in place gives the bytes of one new stack per delay
+    for seed in range(10):
+        rng = np.random.default_rng([47, seed])
+        n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+        system = recipe(rng, n, m)
+        lam = rng.uniform(-3.0, 2.0, (3, 4)) + 1j * rng.uniform(-8.0, 8.0, (3, 4))
+        lam[0, :2] = [0.0, lam[0, 2].real]  # lam = 0 and a real lam
+        for k in range(3):
+            got = char_matrix(system, lam, k)
+            assert got.tobytes() == char_matrix_reference(system, lam, k).tobytes()
+            for z in (lam[0, 0], lam[0, 1], lam[2, 3], complex(lam[1, 1]), 0.7):
+                one = char_matrix_reference(system, z, k)
+                assert char_matrix(system, z, k).tobytes() == one.tobytes()
 
 
 def test_char_matrix_stack_with_a_root_is_singular():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from delaypsa.oracle import (
     EmptyPseudospectrumError,
     GridPsaResult,
     RegionTooSmallError,
+    _CHUNK,
     _boundary_field,
     _smallest_singular,
     _stitch,
@@ -33,6 +35,7 @@ from conftest import (
     _wide_plant,
     delay_free,
     level_sup_profile,
+    smallest_singular_reference,
 )
 
 
@@ -588,8 +591,8 @@ def test_boundary_field_is_sound(recipe):
 @pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
                                     _stiff_plant, _wide_plant])
 def test_smallest_singular_matches_char_matrix(recipe):
-    # the batched stack builder is the one other place that writes F; it
-    # must agree with char_matrix bit for bit
+    # the batched sweep reads char_matrix stacks; each sigma_min must equal
+    # the one of the scalar call bit for bit
     for seed in range(25):
         rng = np.random.default_rng([13, seed])
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
@@ -598,6 +601,40 @@ def test_smallest_singular_matches_char_matrix(recipe):
         expect = [numerics.svd_complex(char_matrix(system, p)).values[-1]
                   for p in pts]
         assert np.array_equal(_smallest_singular(system, pts), expect)
+
+
+@pytest.mark.parametrize("recipe, n", [(_criterion10_plant, 4), (_stiff_plant, 6),
+                                       (_criterion10_plant, 1), (_stiff_plant, 1)])
+def test_smallest_singular_matches_reference(recipe, n):
+    # more grid points than one chunk holds, so the chunk seams are covered
+    rng = np.random.default_rng([19, n])
+    system = recipe(rng, n, 3)
+    step = max(1, _CHUNK // (n * n))
+    shape = (int(rng.integers(40, 60)), step // 40 + 7)
+    lam = (rng.uniform(-3.0, 1.0, shape[1])[None, :]
+           + 1j * rng.uniform(-5.0, 5.0, shape[0])[:, None])
+    assert lam.size > step
+    got = _smallest_singular(system, lam)
+    assert got.shape == shape
+    assert np.array_equal(got, smallest_singular_reference(system, lam))
+    assert np.array_equal(_smallest_singular(system, lam[:0]), np.empty((0, shape[1])))
+
+
+def test_smallest_singular_peak_memory():
+    # one stack of F per chunk is alive at a time (plus the terms subtracted
+    # from it), not the previous chunk's stacks as well
+    rng = np.random.default_rng(23)
+    system = _criterion10_plant(rng, 10, 7)
+    re, im = np.linspace(-1.0, 1.0, 201), np.linspace(-4.0, 4.0, 201)
+    lam = re[None, :] + 1j * im[:, None]
+    stack = (_CHUNK // 100) * 100 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _smallest_singular(system, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack
 
 
 @pytest.mark.parametrize("recipe", [_delay_free_plant, _criterion10_plant,
