@@ -46,23 +46,30 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON literal {token!r} is not allowed")
 
 
-def _as_weight(value):
-    if value == "inf":
-        return math.inf
+def _as_number(value, label):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    raise ValueError(f"weight must be a positive number or \"inf\", got {value!r}")
+    raise ValueError(f"{label} must be a number, got {value!r}")
+
+
+def _as_weight(value):
+    return math.inf if value == "inf" else _as_number(value, 'weight (or "inf")')
 
 
 def _as_matrix(value, n, label):
-    a = np.asarray(value, dtype=float)
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":  # not booleans, strings or nulls
+        raise ValueError(f"{label} must be a matrix of numbers")
     if a.shape != (n, n):
         raise ValueError(f"{label} must be {n}x{n}, got shape {a.shape}")
-    return a
+    return a.astype(float)
 
 
 def load_system_file(path):
-    """Parse a JSON system file into (name, TimeDelaySystem, PerturbationSpec)."""
+    """Parse a JSON system file into (name, TimeDelaySystem, PerturbationSpec).
+
+    Raises ValueError on a missing or wrongly typed field.
+    """
     with open(path) as fh:
         raw = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(raw, dict):
@@ -70,10 +77,13 @@ def load_system_file(path):
     missing = {"n", "delays", "A0", "A", "weights", "epsilon"} - raw.keys()
     if missing:
         raise ValueError(f"system file is missing fields: {sorted(missing)}")
+    for key in ("delays", "A", "weights"):
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{key} must be a list, got {raw[key]!r}")
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
-    delays = [float(t) for t in raw["delays"]]
+    delays = [_as_number(t, "delay") for t in raw["delays"]]
     mats = [_as_matrix(raw["A0"], n, "A0")]
     if len(raw["A"]) != len(delays):
         raise ValueError(
@@ -83,7 +93,7 @@ def load_system_file(path):
         mats.append(_as_matrix(a, n, f"A[{k}]"))
     weights = [_as_weight(w) for w in raw["weights"]]
     system = TimeDelaySystem((0.0, *delays), tuple(mats))
-    pert = PerturbationSpec(tuple(weights), float(raw["epsilon"]))
+    pert = PerturbationSpec(tuple(weights), _as_number(raw["epsilon"], "epsilon"))
     return str(raw.get("name", "unnamed")), system, pert
 
 

@@ -270,7 +270,8 @@ def correct(system, pert, prediction, gn_tol=None):
     of the pseudospectrum boundary, and the corrected abscissa is the
     largest corrected sigma.  gn_tol is passed to `gauss_newton`.  Raises
     AllStartsFailedError when nothing converges; warns when the correction
-    moves further than 10 x the prediction bracket width.
+    moves further than 10 x the prediction bracket width, or lands left of
+    prediction.shift_used (no rightmost point can: every root is inside).
     """
     check_pair(system, pert)
     freqs = np.atleast_1d(np.asarray(prediction.frequencies, dtype=float))
@@ -298,6 +299,10 @@ def correct(system, pert, prediction, gn_tol=None):
             "correction moved more than 10x the prediction bracket width; "
             "consider a smaller predictor tol or a larger mesh order N"
         )
+    if best.sigma < prediction.shift_used:
+        warnings.append(f"corrected abscissa {best.sigma!r} is left of the "
+                        f"spectral abscissa {prediction.shift_used!r}; it is "
+                        "not the rightmost point of the pseudospectrum")
     failed = len(outcomes) - len(winners)
     if failed:
         warnings.append(f"{failed} of {len(outcomes)} correction starts did not converge")

@@ -1,12 +1,12 @@
 """Spectral discretization of a retarded delay system on a Chebyshev mesh.
 
 The delay system is collocated at Chebyshev extremal points of
-[-tau_max, 0], giving a matrix pair (A_N, B_N) whose transfer function
-B_N^T (lam I - A_N)^{-1} B_N reproduces the inverse characteristic matrix
-of the system with each exp(-lam*tau) replaced by a rational interpolant
-p_N(-tau; lam).  The rational approximation is spectrally accurate near
-the origin, so the rightmost eigenvalues of A_N approximate the rightmost
-characteristic roots.
+[-tau_max, 0], giving a matrix A_N whose transfer function
+B_N^T (lam I - A_N)^{-1} B_N, with B_N = [0; I] (not stored), reproduces
+the inverse characteristic matrix F_N(lam)^{-1} of the system with each
+exp(-lam*tau) replaced by a rational interpolant p_N(-tau; lam).  The
+rational approximation is spectrally accurate near the origin, so the
+rightmost eigenvalues of A_N approximate the rightmost characteristic roots.
 """
 
 from __future__ import annotations
@@ -102,14 +102,15 @@ def lagrange_values(mesh, t):
 
 @dataclass(frozen=True)
 class Discretization:
-    """Collocation matrices for one system: mesh, D, state/input matrices."""
+    """Collocation data for one system: mesh, D and A_N.
+
+    B_N = [0; I] is fixed by the structure and not stored.
+    """
 
     system: TimeDelaySystem
     mesh: Mesh
     D: np.ndarray
     state_matrix: np.ndarray  # (N+1)n x (N+1)n
-    input_matrix: np.ndarray  # (N+1)n x n, unit block in the last block row
-    lagrange_rows: np.ndarray  # m x (N+1), row i-1 = lagrange_values(mesh, -tau_i)
 
     def __post_init__(self):
         self.state_matrix.setflags(write=False)  # `eigenvalues` is cached
@@ -127,13 +128,13 @@ class Discretization:
 
 
 def assemble(system, N):
-    """Build the collocation pair (A_N, B_N) for a system at mesh order N.
+    """Build the collocation matrix A_N for a system at mesh order N.
 
     The top N block rows replicate the differentiation matrix (d[i, k] I);
-    the bottom block row applies the delay matrices through the Lagrange
-    values at the delay points, splicing the derivative condition at 0 into
-    the mesh.  N is an integer.  Delay-free systems admit N = 0 (A_N = A_0,
-    B_N = I); for m >= 1 the mesh spans [-tau_max, 0].
+    the bottom block row [Gamma_0 ... Gamma_N] has Gamma_k = sum_i
+    l_k(-tau_i) A_i plus A_0 at k = N, splicing the derivative condition at
+    0 into the mesh.  N is an integer.  Delay-free systems admit N = 0
+    (A_N = A_0); for m >= 1 the mesh spans [-tau_max, 0].
     """
     try:
         N = operator.index(N)
@@ -144,66 +145,41 @@ def assemble(system, N):
         if system.m != 0:
             raise ValueError("invalid N: N = 0 is only valid for delay-free systems")
         mesh = Mesh(np.zeros(1), np.ones(1))
-        return Discretization(
-            system, mesh, np.zeros((1, 1)),
-            system.matrices[0], np.eye(n), np.zeros((0, 1)),
-        )
-    # delay-free systems carry the mesh on a dummy unit interval; all the
-    # delayed couplings below vanish so only spurious differentiation modes
-    # are added, and those sit far in the left half plane
-    span = system.tau_max if system.m else 1.0
-    mesh = chebyshev_mesh(N, span)
+    else:
+        # delay-free systems carry the mesh on a dummy unit interval; the
+        # delayed couplings vanish so only spurious differentiation modes
+        # are added, and those sit far in the left half plane
+        mesh = chebyshev_mesh(N, system.tau_max if system.m else 1.0)
     d = differentiation_matrix(mesh)
     dim = (N + 1) * n
     state = np.zeros((dim, dim))
     state[: N * n, :] = np.kron(d[:N, :], np.eye(n))
-    rows = np.array([lagrange_values(mesh, -tau)
-                     for tau in system.delays[1:]]).reshape(system.m, N + 1)
-    gamma = [np.zeros((n, n)) for _ in range(N + 1)]
-    gamma[N] += system.matrices[0]
-    for lv, a in zip(rows, system.matrices[1:]):
-        for k in range(N + 1):
-            if lv[k]:
-                gamma[k] = gamma[k] + a * lv[k]
-    for k in range(N + 1):
-        state[N * n :, k * n : (k + 1) * n] = gamma[k]
-    inp = np.zeros((dim, n))
-    inp[N * n :, :] = np.eye(n)
-    return Discretization(system, mesh, d, state, inp, rows)
+    gamma = state[N * n :].reshape(n, N + 1, n)  # gamma[:, k] is Gamma_k
+    gamma[:, N] = system.matrices[0]
+    for tau, a in zip(system.delays[1:], system.matrices[1:]):
+        gamma += lagrange_values(mesh, -tau)[:, None] * a[:, None, :]
+    return Discretization(system, mesh, d, state)
 
 
-def rational_exp_nodes(disc, lam):
-    """Interior-node values of the rational exponential interpolant at lam.
+def char_matrix_approx(disc, lam):
+    """F_N(lam), the Schur complement of lam I - A_N onto its last block row.
 
-    Solves (lam I - D11) c = D12 where D11 drops the last mesh row/column;
-    entry k is p_N(points[k]; lam) for the N interior (leftmost) nodes.
+    With [Gamma_0 ... Gamma_N] that row, F_N = lam I - Gamma_N - sum_k
+    c_k Gamma_k, where (lam I - D11) c = D12 (D11 drops the last mesh row
+    and column) gives c_k = p_N(points[k]; lam).  Exact (lam I - A_0) for
+    delay-free systems.  Raises SingularResolventError on a pole.
     """
-    N = disc.N
+    N, n = disc.N, disc.system.n
+    lam = complex(lam)
     try:
-        return numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
-                                      disc.D[:N, N].astype(complex))
+        c = numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
+                                   disc.D[:N, N])
     except numerics.SingularMatrixError as exc:
         raise SingularResolventError(
             f"lam={lam} is a pole of the rational exponential approximation"
         ) from exc
-
-
-def char_matrix_approx(disc, lam):
-    """Approximate characteristic matrix with exp(-lam*tau_i) -> p_N(-tau_i; lam).
-
-    Exact (lam I - A_0) for delay-free systems.  One interior-node solve is
-    shared by all delays.
-    """
-    system = disc.system
-    lam = complex(lam)
-    f = lam * np.eye(system.n, dtype=complex) - system.matrices[0]
-    if system.m == 0:
-        return f
-    nodes = rational_exp_nodes(disc, lam)
-    for lv, a in zip(disc.lagrange_rows, system.matrices[1:]):
-        p = lv[-1] + lv[:-1] @ nodes
-        f -= a * p
-    return f
+    gamma = disc.state_matrix[N * n :].reshape(n, N + 1, n)
+    return lam * np.eye(n) - gamma[:, N] - c @ gamma[:, :N]
 
 
 def level_approx(disc, pert, sigma, omega):

@@ -138,10 +138,14 @@ def spectral_abscissa_exact(system, disc):
 
 
 def hamiltonian(disc, pert, sigma):
-    """Level-set test matrix at abscissa sigma for the discretized system."""
+    """Level-set test matrix H(sigma) for the discretized system; its
+    coupling blocks +-eps w(sigma) B_N B_N^T are +-eps w(sigma) I in the
+    last n x n block, as B_N = [0; I]."""
     w = eval_weight(pert, disc.system, sigma)
-    coupling = (w * pert.epsilon) * (disc.input_matrix @ disc.input_matrix.T)
-    shifted = disc.state_matrix - sigma * np.eye(disc.state_matrix.shape[0])
+    dim, n = disc.state_matrix.shape[0], disc.system.n
+    coupling = np.zeros((dim, dim))
+    coupling[-n:, -n:] = (w * pert.epsilon) * np.eye(n)
+    shifted = disc.state_matrix - sigma * np.eye(dim)
     return np.block([[shifted, coupling], [-coupling, -shifted.T]])
 
 

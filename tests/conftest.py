@@ -186,6 +186,12 @@ def smallest_singular_reference(system, lam):
 # reference computations on the discretization, used only by tests
 
 
+def input_matrix(disc):
+    """B_N = [0; I]: the unit block in the last block row of (N+1)n x n."""
+    n = disc.system.n
+    return np.eye(disc.state_matrix.shape[0])[:, -n:]
+
+
 def transfer_function(disc, lam):
     """B_N^T (lam I - A_N)^{-1} B_N, the n x n transfer function at lam.
 
@@ -193,11 +199,9 @@ def transfer_function(disc, lam):
     defined; raises SingularMatrixError when lam is an eigenvalue of A_N.
     """
     dim = disc.state_matrix.shape[0]
-    x = numerics.solve_complex(
-        lam * np.eye(dim) - disc.state_matrix,
-        disc.input_matrix.astype(complex),
-    )
-    return disc.input_matrix.T @ x
+    b = input_matrix(disc)
+    x = numerics.solve_complex(lam * np.eye(dim) - disc.state_matrix, b)
+    return b.T @ x
 
 
 def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):

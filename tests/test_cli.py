@@ -164,6 +164,18 @@ def test_compute_malformed_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delays", 1.0), ("delays", [[1.0]]), ("delays", [None]), ("A", 5),
+    ("A0", [[{}]]), ("A0", [[True]]), ("A", [[["-1"]]]), ("A", [[[None]]]),
+    ("weights", 3), ("epsilon", None), ("n", True),
+])
+def test_compute_wrongly_typed_field_exits_one(tmp_path, capsys, field, value):
+    path = write_file(tmp_path, dict(ONE_DELAY, **{field: value}))
+    code, out, err = run(capsys, "compute", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_compute_names_offending_field(tmp_path, capsys):
     payload = dict(ONE_DELAY, weights=[1.0, -1.0])
     path = write_file(tmp_path, payload)

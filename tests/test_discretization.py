@@ -8,6 +8,7 @@ from delaypsa import (
     TimeDelaySystem,
     char_matrix,
     compute_psa,
+    eval_weight,
     numerics,
 )
 from delaypsa.discretization import (
@@ -19,8 +20,9 @@ from delaypsa.discretization import (
     lagrange_values,
     spectral_abscissa_approx,
 )
+from delaypsa.predictor import hamiltonian
 
-from conftest import delay_free, transfer_function
+from conftest import delay_free, input_matrix, transfer_function
 
 
 # --- mesh ---------------------------------------------------------------
@@ -137,31 +139,49 @@ def test_assemble_scalar_one_delay_n1():
 
 
 def test_assemble_input_matrix_shape():
+    # B_N = [0; I] is structural: the Hamiltonian's coupling blocks are
+    # +-eps w(sigma) B_N B_N^T, bit for bit
     sys1 = TimeDelaySystem(
         (0.0, 1.0), (np.zeros((2, 2)), 0.1 * np.eye(2))
     )
     disc = assemble(sys1, 2)
-    b = disc.input_matrix
-    assert b.shape == (6, 2)
-    assert np.allclose(b[:-2], 0.0)
-    assert np.allclose(b[-2:], np.eye(2))
+    pert = PerturbationSpec((1.0, 2.0), 0.3)
+    sigma = 0.7
+    b = np.zeros((6, 2))
+    b[-2:] = np.eye(2)
+    assert np.array_equal(b, input_matrix(disc))
+    coupling = (eval_weight(pert, sys1, sigma) * pert.epsilon) * (b @ b.T)
+    ham = hamiltonian(disc, pert, sigma)
+    assert ham.shape == (12, 12)
+    assert np.array_equal(ham[:6, 6:], coupling)
+    assert np.array_equal(ham[6:, :6], -coupling)
 
 
 def test_assemble_lagrange_rows_at_delays():
-    sys2 = TimeDelaySystem((0.0, 0.4, 1.0), (np.zeros((1, 1)),) * 3)
+    # the last block row of A_N is Gamma_k = sum_i l_k(-tau_i) A_i, with A_0
+    # added at node N, in that order
+    rng = np.random.default_rng(7)
+    mats = tuple(rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(3))
+    sys2 = TimeDelaySystem((0.0, 0.4, 1.0), mats)
     disc = assemble(sys2, 6)
-    assert disc.lagrange_rows.shape == (2, 7)
-    for row, tau in zip(disc.lagrange_rows, (0.4, 1.0)):
-        assert np.array_equal(row, lagrange_values(disc.mesh, -tau))
-    assert assemble(delay_free(1.0), 4).lagrange_rows.shape == (0, 5)
-    assert assemble(delay_free(1.0), 0).lagrange_rows.shape == (0, 1)
+    rows = [lagrange_values(disc.mesh, -tau) for tau in (0.4, 1.0)]
+    for k in range(7):
+        gamma = np.zeros((2, 2))
+        if k == 6:
+            gamma = gamma + mats[0]
+        for lv, a in zip(rows, mats[1:]):
+            gamma = gamma + lv[k] * a
+        assert np.array_equal(disc.state_matrix[-2:, 2 * k : 2 * k + 2], gamma)
+    for N in (0, 4):
+        disc = assemble(delay_free(1.0), N)
+        assert np.array_equal(disc.state_matrix[-1:, :-1], np.zeros((1, N)))
+        assert disc.state_matrix[-1, -1] == 1.0
 
 
 def test_assemble_delay_free_n0():
     a0 = np.array([[1.0, 2.0], [0.0, -1.0]])
     disc = assemble(TimeDelaySystem((0.0,), (a0,)), 0)
     assert np.array_equal(disc.state_matrix, a0)
-    assert np.array_equal(disc.input_matrix, np.eye(2))
 
 
 def test_assemble_rejects_invalid_n(one_delay):
@@ -231,9 +251,11 @@ def test_rational_exp_singular_resolvent():
 def test_char_matrix_approx_delay_free_exact():
     a0 = np.array([[0.0, 1.0], [-2.0, -0.5]])
     sys0 = TimeDelaySystem((0.0,), (a0,))
-    disc = assemble(sys0, 5)
-    for lam in (0.3, 1.0 + 2.0j):
-        assert np.allclose(char_matrix_approx(disc, lam), char_matrix(sys0, lam))
+    for N in (0, 1, 5, 15):
+        disc = assemble(sys0, N)
+        for lam in (0.3, 1.0 + 2.0j):
+            assert np.array_equal(char_matrix_approx(disc, lam),
+                                  char_matrix(sys0, lam))
 
 
 def test_char_matrix_approx_at_zero(one_delay):

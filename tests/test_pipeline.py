@@ -17,7 +17,13 @@ from delaypsa import (
     shift_system,
 )
 
-from conftest import _criterion10_plant, delay_free, grid_alpha_ref
+from conftest import (
+    _criterion10_plant,
+    _small_batch_plant,
+    _wide_plant,
+    delay_free,
+    grid_alpha_ref,
+)
 
 _REGION = GridRegion(-1.0, 0.5, 0.0, 2.0, 5, 5)
 _PREDICTION = PredictionResult(alpha_pred=-0.2, frequencies=np.array([1.3]),
@@ -69,6 +75,25 @@ def test_warnings_concatenate_across_stages():
     assert corr.warnings  # sanity for the scenario itself
     res = compute_psa(sys0, PerturbationSpec((1.0,), 0.25), N=0, tol=1e-6)
     assert res.warnings == res.prediction.warnings + res.correction.warnings
+
+
+def test_left_of_shift_answer_warns():
+    # small-batch-wide seed 1 plant 166 (n = m = 2): Gauss-Newton lands at
+    # 0.108488, left of the spectral abscissa 0.130621, which every
+    # pseudospectrum contains; the answer must not come back silently (until
+    # the reseed of ROADMAP item 1 repairs it).  The small-batch plant drawn
+    # from the same stream is answered correctly and does not warn.
+    def warned(recipe):
+        rng = np.random.default_rng([1, 166])
+        system = recipe(rng, 2, 2)
+        pert = PerturbationSpec((1.0,) * 3, float(10.0 ** rng.uniform(-3.0, 0.0)))
+        res = compute_psa(system, pert, N=15, tol=1e-3)
+        left = any("left of the spectral abscissa" in w for w in res.warnings)
+        assert left == (res.alpha_eps < res.prediction.shift_used)
+        return left
+
+    assert warned(_wide_plant)
+    assert not warned(_small_batch_plant)
 
 
 def test_scale_invariance_of_the_disk():

@@ -30,6 +30,7 @@ from conftest import (
     _stiff_plant,
     _wide_plant,
     delay_free,
+    input_matrix,
     newton_root,
     spectral_abscissa_reference,
 )
@@ -213,9 +214,9 @@ def test_frequencies_match_singular_value_crossings(one_delay, one_delay_pert):
     for omega in freqs:
         shifted_state = disc.state_matrix - sigma * np.eye(n_big)
         resolvent = np.linalg.solve(
-            1j * omega * np.eye(n_big) - shifted_state, disc.input_matrix
+            1j * omega * np.eye(n_big) - shifted_state, input_matrix(disc)
         )
-        gvals = svd_complex(disc.input_matrix.T @ resolvent).values
+        gvals = svd_complex(input_matrix(disc).T @ resolvent).values
         assert np.min(np.abs(gvals - target)) < 1e-6 * target
 
 
