@@ -62,6 +62,8 @@ def _as_matrix(value, n, label):
         raise ValueError(f"{label} must be a matrix of numbers")
     if a.shape != (n, n):
         raise ValueError(f"{label} must be {n}x{n}, got shape {a.shape}")
+    if any(isinstance(x, bool) for row in value for x in row):  # read as 0/1
+        raise ValueError(f"{label} must be a matrix of numbers")
     return a.astype(float)
 
 

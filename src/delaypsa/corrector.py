@@ -15,8 +15,8 @@ Gauss-Newton with the analytic Jacobian.  Starts come straight from the
 predictor's frequency list.  The equations are posed on the exact F of the
 caller's system: the predictor recenters only for its rational
 approximation, and the recentered F at j*omega is F(sigma + j*omega)
-exactly.  F, F' and F'' come from `model.char_matrix`; each Gauss-Newton
-step makes one `jacobian` call.
+exactly.  F, F' and F'' come from one `model.char_matrix` call in each
+`jacobian`; each Gauss-Newton step makes one `jacobian` call.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ def build_nleig(system, lam, xi):
     With f = char_matrix(system, lam) the blocks are [[f, -xi^{-2} I],
     [I, -f*]], where -f* is -conj(lam) I + sum_i A_i^T exp(-conj(lam)*tau_i).
     """
-    n = system.n
-    f = char_matrix(system, lam)
+    return _nleig_from(char_matrix(system, lam), xi)
+
+
+def _nleig_from(f, xi):  # `build_nleig` on f = F(lam)
+    n = f.shape[0]
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, :n] = f
     h[:n, n:] = -(xi ** -2) * np.eye(n)
@@ -132,9 +135,8 @@ def jacobian(system, pert, state):
     n = system.n
     x, u, v = state.x, state.x[:n], state.x[n:]
     xi, dxi = sv_threshold(pert, system, state.sigma)
-    lam = complex(state.sigma, state.omega)
-    h = build_nleig(system, lam, xi)
-    p = char_matrix(system, lam, 1)
+    f, p, p2 = char_matrix(system, complex(state.sigma, state.omega), (0, 1, 2))
+    h = _nleig_from(f, xi)
     pu = p @ u
     qv = p.conj().T @ v
     hx = h @ x
@@ -154,7 +156,7 @@ def jacobian(system, pert, state):
     jac[: 2 * n, 4 * n :] = dhx.real
     jac[2 * n : 4 * n, 4 * n :] = dhx.imag
     # g = Im(v* P u) = Im(qv* u) + Im(v* pu); dP/domega = j F'', dP/dsigma = F''
-    s = v.conj() @ (char_matrix(system, lam, 2) @ u)
+    s = v.conj() @ (p2 @ u)
     jac[4 * n + 2] = np.concatenate([
         -qv.imag, pu.imag, qv.real, -pu.real, [s.real, s.imag],
     ])

@@ -126,6 +126,14 @@ class Discretization:
         vals.setflags(write=False)
         return vals
 
+    @cached_property
+    def level_parts(self):
+        """`char_matrix_approx`'s I_N, D11, D12, I_n, Gamma_N, Gamma_0..N-1."""
+        N, n, d = self.N, self.system.n, self.D.astype(complex)
+        gamma = self.state_matrix[N * n :].reshape(n, N + 1, n)
+        return (np.eye(N), d[:N, :N], d[:N, N], np.eye(n), gamma[:, N],
+                gamma[:, :N].astype(complex))
+
 
 def assemble(system, N):
     """Build the collocation matrix A_N for a system at mesh order N.
@@ -154,11 +162,20 @@ def assemble(system, N):
     dim = (N + 1) * n
     state = np.zeros((dim, dim))
     state[: N * n, :] = np.kron(d[:N, :], np.eye(n))
+    return reassemble(Discretization(system, mesh, d, state), system)
+
+
+def reassemble(disc, system):
+    """`assemble(system, disc.N)` for a system with disc's delays and n, as
+    `shift_system` makes: disc's A_N with its last block row rewritten (the
+    one writer of that row), sharing disc's mesh and D."""
+    N, n, state = disc.N, system.n, disc.state_matrix.copy()
     gamma = state[N * n :].reshape(n, N + 1, n)  # gamma[:, k] is Gamma_k
+    gamma[:] = 0.0
     gamma[:, N] = system.matrices[0]
     for tau, a in zip(system.delays[1:], system.matrices[1:]):
-        gamma += lagrange_values(mesh, -tau)[:, None] * a[:, None, :]
-    return Discretization(system, mesh, d, state)
+        gamma += lagrange_values(disc.mesh, -tau)[:, None] * a[:, None, :]
+    return Discretization(system, disc.mesh, disc.D, state)
 
 
 def char_matrix_approx(disc, lam):
@@ -169,17 +186,15 @@ def char_matrix_approx(disc, lam):
     and column) gives c_k = p_N(points[k]; lam).  Exact (lam I - A_0) for
     delay-free systems.  Raises SingularResolventError on a pole.
     """
-    N, n = disc.N, disc.system.n
+    eye_N, d11, d12, eye_n, gamma_N, gamma_rest = disc.level_parts
     lam = complex(lam)
     try:
-        c = numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
-                                   disc.D[:N, N])
+        c = numerics.solve_complex(lam * eye_N - d11, d12)
     except numerics.SingularMatrixError as exc:
         raise SingularResolventError(
             f"lam={lam} is a pole of the rational exponential approximation"
         ) from exc
-    gamma = disc.state_matrix[N * n :].reshape(n, N + 1, n)
-    return lam * np.eye(n) - gamma[:, N] - c @ gamma[:, :N]
+    return lam * eye_n - gamma_N - c @ gamma_rest
 
 
 def level_approx(disc, pert, sigma, omega):

@@ -125,14 +125,20 @@ def char_matrix(system, lam, k=0):
     k = 0 gives F(lam) = lam*I - sum_i A_i exp(-lam*tau_i), k = 1 gives
     I + sum_i tau_i A_i exp(-lam*tau_i), and k >= 2 gives
     -sum_i (-tau_i)^k A_i exp(-lam*tau_i).  An array of lam gives the stack
-    of these matrices, each equal bit for bit to the call at its entry.
+    of these matrices, each equal bit for bit to the call at its entry; a
+    tuple of orders k, the stack of their results (each exp(-lam*tau_i)
+    computed once), each equal bit for bit to its own call.
     """
     lam = np.asarray(lam, dtype=complex)[..., None, None]
-    # f has the result's shape for every k, so the terms subtract in place
-    f = (lam if k == 0 else np.full_like(lam, k == 1)) * np.eye(system.n, dtype=complex)
+    orders = k if isinstance(k, tuple) else (k,)
+    eye = np.eye(system.n, dtype=complex)
+    # each f has the result's shape, so the terms subtract in place
+    fs = [(lam if j == 0 else np.full_like(lam, j == 1)) * eye for j in orders]
     for tau, a in zip(system.delays, system.matrices):
-        f -= ((-tau) ** k * a) * np.exp(-lam * tau)
-    return f
+        e = np.exp(-lam * tau)
+        for f, j in zip(fs, orders):
+            f -= (a if j == 0 else (-tau) ** j * a) * e  # (-tau)**0 * a is a
+    return np.array(fs) if orders is k else fs[0]
 
 
 def eval_weight(pert, system, sigma, k=0):

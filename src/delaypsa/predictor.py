@@ -30,6 +30,7 @@ from .discretization import (
     SingularResolventError,
     assemble,
     level_approx,
+    reassemble,
     spectral_abscissa_approx,
 )
 from .model import (char_matrix, check_pair, eval_weight, shift_system,
@@ -81,21 +82,24 @@ def _newton_roots(system, starts, tol, max_iter):
     n = system.n
     lam = np.array(starts, dtype=complex)
     ok = np.zeros(lam.shape, dtype=bool)
-    f = char_matrix(system, lam)
+    f, fp = char_matrix(system, lam, (0, 1))
     v = numerics.svd_complex(f, vectors=True).right_h[:, -1].conj()
     c = v.conj()[:, None, :]  # the rows c*
-    live = np.arange(lam.size)  # starts still iterating; f is F at lam[live]
+    live = np.arange(lam.size)  # starts still iterating; f, fp at lam[live]
     for _ in range(max_iter):
         res = np.concatenate([f @ v[live, :, None],
                               c[live] @ v[live, :, None] - 1.0], axis=1)
-        ok[live] = np.linalg.norm(res[:, :, 0], axis=1) <= tol
+        # ||res|| >= max |res_i|, so only rows that can pass are squared: a
+        # far-off start's residual is finite, but its square can overflow
+        small = np.abs(res[:, :, 0]).max(axis=1) <= tol
+        ok[live[small]] = np.linalg.norm(res[small, :, 0], axis=1) <= tol
         run = ~ok[live]
-        live, f, res = live[run], f[run], res[run]
+        live, f, fp, res = live[run], f[run], fp[run], res[run]
         if not live.size:
             break
         jac = np.zeros((live.size, n + 1, n + 1), dtype=complex)
         jac[:, :n, :n] = f
-        jac[:, :n, n:] = char_matrix(system, lam[live], 1) @ v[live, :, None]
+        jac[:, :n, n:] = fp @ v[live, :, None]
         jac[:, n:, :n] = c[live]
         solved = np.ones(live.size, dtype=bool)
         try:
@@ -110,7 +114,7 @@ def _newton_roots(system, starts, tol, max_iter):
         v[live] += step[:, :n, 0]
         lam[live] += step[:, n, 0]
         live = live[solved & np.isfinite(lam[live])]
-        f = char_matrix(system, lam[live])
+        f, fp = char_matrix(system, lam[live], (0, 1))
     return lam, ok
 
 
@@ -120,13 +124,19 @@ def spectral_abscissa_exact(system, disc):
     Newton-corrects the 10 rightmost eigenvalues of the collocation matrix
     on the exact root equations F(lam) v = 0, c* v = 1, all starts together
     (`_newton_roots`), each with its own 40 steps, residual tolerance
-    1e-12 * (1 + max ||A_i||_2) and failure exit, as if alone.  Falls back
-    to the discretized abscissa, with no roots, if no start converges.
+    1e-12 * (1 + max ||A_i||_2) and failure exit, as if alone.  A start that
+    is an earlier one or its conjugate takes that one's result, conjugated
+    as F(conj lam) = conj F(lam).  Falls back to the discretized abscissa,
+    with no roots, if no start converges.
     """
     vals = disc.eigenvalues
     starts = vals[np.argsort(-vals.real)][:10]
-    lams, oks = _newton_roots(system, starts, 1e-12 * (1.0 + max(system.norms)),
-                              max_iter=40)
+    _, own, src = np.unique(starts.real + 1j * abs(starts.imag),
+                            return_index=True, return_inverse=True)
+    lams, oks = _newton_roots(system, starts[own],
+                              1e-12 * (1.0 + max(system.norms)), max_iter=40)
+    lams = np.where(starts == starts[own][src], lams[src], lams[src].conj())
+    oks = oks[src]
     roots = []
     for lam in lams[oks].tolist():  # deduplicated in start order
         if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
@@ -263,12 +273,18 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     return sigma, omega
 
 
-def bisect(disc, pert, tol):
+def bisect(disc, pert, tol, roots=()):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
-    Criss-cross level raising (Burke, Lewis and Overton, 2003) from
-    sigma_lo = alpha(A_N), with candidates the frequencies of the three
-    rightmost eigenvalues of A_N (omega >= 0) and 0.
+    Criss-cross level raising (Burke, Lewis and Overton, 2003).  The first
+    round searches at the frequencies (omega >= 0) of the three rightmost
+    roots (characteristic roots in disc's coordinates), each from its real
+    part, and at 0 from the rightmost's.  Unless that proves a point at or
+    right of the rightmost root inside (a line with no crossings bounds the
+    set only right of every eigenvalue of A_N, and the rightmost root
+    stands in for the rightmost one), or without roots, it starts again
+    from sigma_lo = alpha(A_N), with candidates the frequencies of the
+    three rightmost eigenvalues of A_N (omega >= 0) and 0.
     Each round moves sigma_lo to the best point `_horizontal_search` proves
     inside near a candidate (each starting at the best point so far, which
     a later one need only beat); that point is usually within tol of a
@@ -287,11 +303,11 @@ def bisect(disc, pert, tol):
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    vals = disc.eigenvalues
-    upper = vals[vals.imag >= 0.0]
-    rightmost = upper[np.argsort(-upper.real)][:3]
-    sigma_lo = float(rightmost[0].real)
-    candidates = list(dict.fromkeys([*rightmost.imag.tolist(), 0.0]))
+    folded = sorted(dict.fromkeys((r.real, abs(r.imag)) for r in roots),
+                    key=lambda r: -r[0])[:3]
+    sigma_lo, candidates = -math.inf, {}  # omega -> where its search starts
+    for s, w in [*folded, (folded[0][0], 0.0)] if folded else ():
+        candidates.setdefault(w, s)
     freqs_lo = None  # where sigma_lo was proved inside
     sigma_hi, delta, iterations = math.inf, tol, 0
     while sigma_hi - sigma_lo > tol:
@@ -299,11 +315,18 @@ def bisect(disc, pert, tol):
             raise PredictionError(f"level-set search did not reach width "
                                   f"{tol} in {BISECT_MAX_ITER} iterations")
         best = -math.inf
-        for omega in candidates:  # a later one need only beat the best
+        for omega, start in candidates.items():  # later ones need only beat best
             s, w = _horizontal_search(
-                disc, pert, omega, max(sigma_lo, best), sigma_hi, tol)
+                disc, pert, omega, max(start, best), sigma_hi, tol)
             if s > best:
                 best, best_omega = s, w
+        if sigma_lo == -math.inf and not (folded and best >= folded[0][0]):
+            vals = disc.eigenvalues
+            upper = vals[vals.imag >= 0.0]
+            rightmost = upper[np.argsort(-upper.real)][:3]
+            sigma_lo = float(rightmost[0].real)
+            candidates = dict.fromkeys([*rightmost.imag.tolist(), 0.0], sigma_lo)
+            continue
         if best > sigma_lo or (best == sigma_lo and freqs_lo is None):
             sigma_lo, freqs_lo = best, np.array([best_omega])
         if best == sigma_lo:  # some candidate was proved inside
@@ -320,7 +343,8 @@ def bisect(disc, pert, tol):
         freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma_mid))
         if freqs.size:
             sigma_lo, freqs_lo = sigma_mid, freqs
-            candidates = [0.0, *(0.5 * (freqs[:-1] + freqs[1:]))]
+            candidates = dict.fromkeys([0.0, *(0.5 * (freqs[:-1] + freqs[1:]))],
+                                       sigma_lo)
         else:
             sigma_hi = sigma_mid
         iterations += 1
@@ -344,21 +368,24 @@ def predict(system, pert, N=15, tol=1e-3):
 
     Recenter the system at its exact spectral abscissa (so the
     discretization is most accurate where the level set is resolved), run
-    `bisect`'s criss-cross search there to width tol, and report in original
-    coordinates, with a warning when the shift is the discretized abscissa.
-    The recentering depends only on the system and N: it runs on the first
-    call for a system object and N, and later calls reuse it, including
-    the eigenvalues of the shifted A_N.
+    `bisect`'s criss-cross search there from the recentered roots to width
+    tol, and report in original coordinates, with a warning when the shift
+    is the discretized abscissa.  The recentering (one assembly and one
+    eigensolve of A_N; `reassemble` gives the recentered A_N) depends only
+    on the system and N: it runs on the first call for a system object and
+    N, and later calls reuse it.
     """
     check_pair(system, pert)
     recentered = _RECENTERED.setdefault(system, {})
     if N not in recentered:
-        sa = spectral_abscissa_exact(system, assemble(system, N))
+        disc = assemble(system, N)
+        sa = spectral_abscissa_exact(system, disc)
         shifted_sys = shift_system(system, pert, sa.value)[0]
-        recentered[N] = sa, assemble(shifted_sys, N)
+        recentered[N] = sa, reassemble(disc, shifted_sys)
     sa, disc = recentered[N]
     shifted_pert = shift_weights(system, pert, sa.value)
-    sigma_lo, sigma_hi, freqs, iterations = bisect(disc, shifted_pert, tol)
+    sigma_lo, sigma_hi, freqs, iterations = bisect(
+        disc, shifted_pert, tol, tuple(r - sa.value for r in sa.roots))
     warnings = () if sa.roots else (
         "spectral abscissa: Newton correction failed for every start; "
         "using the discretized abscissa as the shift",

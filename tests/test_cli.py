@@ -168,9 +168,12 @@ def test_compute_malformed_file(tmp_path, capsys):
     ("delays", 1.0), ("delays", [[1.0]]), ("delays", [None]), ("A", 5),
     ("A0", [[{}]]), ("A0", [[True]]), ("A", [[["-1"]]]), ("A", [[[None]]]),
     ("weights", 3), ("epsilon", None), ("n", True),
+    # a boolean among numbers, which numpy alone reads as 1
+    ("A0", {"n": 2, "A0": [[0.0, True], [0, -1]], "A": [[[-1, 0], [0, -1]]]}),
 ])
 def test_compute_wrongly_typed_field_exits_one(tmp_path, capsys, field, value):
-    path = write_file(tmp_path, dict(ONE_DELAY, **{field: value}))
+    fields = value if isinstance(value, dict) else {field: value}
+    path = write_file(tmp_path, dict(ONE_DELAY, **fields))
     code, out, err = run(capsys, "compute", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err

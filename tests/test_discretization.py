@@ -18,11 +18,20 @@ from delaypsa.discretization import (
     chebyshev_mesh,
     differentiation_matrix,
     lagrange_values,
+    reassemble,
     spectral_abscissa_approx,
 )
+from delaypsa.model import shift_system
 from delaypsa.predictor import hamiltonian
 
-from conftest import delay_free, input_matrix, transfer_function
+from conftest import (
+    _criterion10_plant,
+    _stiff_plant,
+    _wide_plant,
+    delay_free,
+    input_matrix,
+    transfer_function,
+)
 
 
 # --- mesh ---------------------------------------------------------------
@@ -184,6 +193,28 @@ def test_assemble_delay_free_n0():
     assert np.array_equal(disc.state_matrix, a0)
 
 
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _wide_plant])
+def test_reassemble_matches_assemble(recipe):
+    # the recentred A_N is the first one's last block row rewritten, byte
+    # for byte what assembling the shifted system gives, on the same mesh
+    for seed in range(8):
+        rng = np.random.default_rng([61, seed])
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (m + 1), 0.1)
+        N = 0 if m == 0 and seed % 2 else int(rng.integers(1, 20))
+        disc = assemble(system, N)
+        for alpha in (float(rng.normal()), 0.0):
+            shifted = shift_system(system, pert, alpha)[0]
+            got = reassemble(disc, shifted)
+            want = assemble(shifted, N)
+            assert got.state_matrix.tobytes() == want.state_matrix.tobytes()
+            assert got.system is shifted
+            assert got.mesh is disc.mesh and got.D is disc.D
+        assert not disc.state_matrix.flags.writeable
+
+
 def test_assemble_rejects_invalid_n(one_delay):
     for N in (2.5, 6.0, "6", None):
         with pytest.raises(ValueError, match="^invalid N"):
@@ -267,6 +298,26 @@ def test_char_matrix_approx_scalar_n1():
     sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
     disc = assemble(sys1, 1)
     assert abs(char_matrix_approx(disc, 1.0)[0, 0] - 0.5) < 1e-14
+
+
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _wide_plant])
+def test_char_matrix_approx_matches_uncached_formula(recipe):
+    # the lam-independent pieces, built once per discretization and cast to
+    # complex once, give the bytes of the formula built on every call
+    for seed in range(6):
+        rng = np.random.default_rng([67, seed])
+        n, m = int(rng.integers(1, 8)), int(rng.integers(0, 6))
+        system = recipe(rng, n, m)
+        N = int(rng.integers(1, 25))
+        disc = assemble(system, N)
+        gamma = disc.state_matrix[N * n :].reshape(n, N + 1, n)
+        for _ in range(10):
+            lam = complex(rng.normal(), 5.0 * rng.normal())
+            c = numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
+                                       disc.D[:N, N])
+            want = lam * np.eye(n) - gamma[:, N] - c @ gamma[:, :N]
+            assert char_matrix_approx(disc, lam).tobytes() == want.tobytes()
 
 
 def test_char_matrix_approx_converges(random_system):

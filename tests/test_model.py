@@ -153,6 +153,13 @@ def test_char_matrix_matches_reference(recipe):
             for z in (lam[0, 0], lam[0, 1], lam[2, 3], complex(lam[1, 1]), 0.7):
                 one = char_matrix_reference(system, z, k)
                 assert char_matrix(system, z, k).tobytes() == one.tobytes()
+        # a tuple of orders gives the stack of the one-order calls
+        for z in (lam, lam[1, 2], 0.7):
+            for orders in ((0, 1), (0, 1, 2), (2, 0), (1,)):
+                together = char_matrix(system, z, orders)
+                assert together.shape == (len(orders), *np.shape(z), n, n)
+                for got, k in zip(together, orders):
+                    assert got.tobytes() == char_matrix(system, z, k).tobytes()
 
 
 def test_char_matrix_stack_with_a_root_is_singular():

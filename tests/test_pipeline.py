@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,25 @@ def test_handed_off_frequencies_start_the_corrector(case):
     assert res.prediction.frequencies.size
     assert all(s.converged for s in res.correction.per_start)
     assert abs(res.alpha_eps - grid_alpha_ref(system, pert, res)) <= 2e-3
+
+
+def _large_norm_plant(i):
+    # matrices uniform(-50, 50), delays up to 1
+    rng = np.random.default_rng([7, i])
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    mats = tuple(rng.uniform(-50.0, 50.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.0, m)))
+    eps = float(10.0 ** rng.uniform(-3.0, 0.0))
+    return TimeDelaySystem(delays, mats), PerturbationSpec((1.0,) * (m + 1), eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("plant", [81, 151])
+def test_far_newton_start_does_not_overflow(plant):
+    # at N = 6 a Newton start of these plants walks far left, where its
+    # residual is finite but squaring it overflows; that start fails and
+    # the answer comes back, left of the shift only with the warning
+    res = compute_psa(*_large_norm_plant(plant), N=6, tol=1e-3)
+    assert math.isfinite(res.alpha_eps)
+    assert res.alpha_eps >= res.prediction.shift_used or any(
+        "left of the spectral abscissa" in w for w in res.warnings)

@@ -112,6 +112,33 @@ def test_abscissa_matches_per_start_reference(recipe):
             assert abs(a - b) <= 1e-15 * abs(b)
 
 
+@pytest.mark.parametrize("recipe", [_small_batch_plant, _wide_plant,
+                                    _criterion10_plant, _stiff_plant])
+def test_newton_refines_each_conjugate_pair_once(monkeypatch, recipe):
+    # F(conj lam) = conj F(lam), so a start whose conjugate came earlier is
+    # not refined again; the per-start reference test above pins the roots
+    received = []
+    newton = predictor._newton_roots
+
+    def recording(system, starts, tol, max_iter):
+        received.append(np.array(starts))
+        return newton(system, starts, tol, max_iter)
+
+    monkeypatch.setattr(predictor, "_newton_roots", recording)
+    skipped = 0
+    for seed in range(40):
+        rng = np.random.default_rng([18, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        disc = assemble(system, 15)
+        spectral_abscissa_exact(system, disc)
+        got = received[-1]
+        for k, s in enumerate(got):
+            assert s not in got[:k] and s.conjugate() not in got[:k]
+        skipped += min(10, disc.eigenvalues.size) - got.size
+    assert skipped > 0
+
+
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
 def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
     # one start's Jacobian is singular, or its first step infinite: that
@@ -355,17 +382,85 @@ def _count_calls(monkeypatch, name):
 
 def test_predict_reuses_recentering_across_epsilon(monkeypatch):
     # the spectral abscissa and both discretizations depend on the system
-    # and N only, so a second epsilon on the same object reuses them
+    # and N only, so a second epsilon on the same object reuses them; the
+    # recentered discretization is the first one's last block row rewritten,
+    # so each fresh system takes one assembly
     system = _criterion10_plant(np.random.default_rng(3), 3, 2)
     abscissas = _count_calls(monkeypatch, "spectral_abscissa_exact")
     assemblies = _count_calls(monkeypatch, "assemble")
     perts = [PerturbationSpec((1.0,) * 3, eps) for eps in (0.01, 0.2)]
     reused = [predict(system, p, N=12, tol=1e-6) for p in perts]
-    assert (len(abscissas), len(assemblies)) == (1, 2)
+    assert (len(abscissas), len(assemblies)) == (1, 1)
     for pert, res in zip(perts, reused):
         fresh = TimeDelaySystem(system.delays, system.matrices)
         assert _fields(predict(fresh, pert, N=12, tol=1e-6)) == _fields(res)
-    assert (len(abscissas), len(assemblies)) == (3, 6)
+    assert (len(abscissas), len(assemblies)) == (3, 3)
+
+
+def test_predict_fresh_plant_one_assembly_two_eigensolves(monkeypatch):
+    # the small-batch benchmark's plants: one assembly and one eigensolve of
+    # A_N, whose refined roots seed the search, then the one level test;
+    # the recentred A_N is reassembled from the first and never eigensolved
+    # (the per-plant analysis used to take 2 assemblies and 3 eigensolves)
+    dims = []
+    eig = numerics.eig_real
+
+    def counted(matrix):
+        dims.append(matrix.shape[0])
+        return eig(matrix)
+
+    monkeypatch.setattr(numerics, "eig_real", counted)
+    assemblies = _count_calls(monkeypatch, "assemble")
+    for i in range(18):
+        rng = np.random.default_rng([1, i])
+        n, m = divmod(i % 9, 3)
+        system = _small_batch_plant(rng, n + 1, m + 1)
+        pert = PerturbationSpec((1.0,) * (m + 2),
+                                float(10.0 ** rng.uniform(-3.0, 0.0)))
+        dims.clear()
+        assemblies.clear()
+        predict(system, pert, N=15, tol=1e-3)
+        assert dims == [16 * (n + 1), 32 * (n + 1)]
+        assert len(assemblies) == 1
+        assert "eigenvalues" not in vars(predictor._RECENTERED[system][15][1])
+
+
+@pytest.mark.parametrize("recipe", [_small_batch_plant, _criterion10_plant,
+                                    _stiff_plant])
+def test_bisect_with_unproved_roots_runs_unseeded(recipe):
+    # roots that prove nothing inside (moved far right of the set) leave
+    # the search to start from A_N's eigenvalues, exactly as without roots
+    for seed in range(6):
+        rng = np.random.default_rng([71, seed])
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        system = recipe(rng, n, m)
+        pert = PerturbationSpec((1.0,) * (m + 1),
+                                float(10.0 ** rng.uniform(-3.0, 0.0)))
+        disc, shifted_pert = _shifted_disc(system, pert, 15)
+        sa = spectral_abscissa_exact(system, assemble(system, 15))
+        far = tuple(r - sa.value + 50.0 for r in sa.roots)
+        got = bisect(disc, shifted_pert, 1e-6, far)
+        want = bisect(disc, shifted_pert, 1e-6)
+        assert got[0::3] == want[0::3] and got[1] == want[1]
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_bisect_needs_the_rightmost_root_proved():
+    # on this plant N = 15 resolves the rightmost root pair poorly: it is
+    # not proved inside, while the real root left of it is.  A search that
+    # started there would find no crossings right of it and miss A_N's
+    # rightmost eigenvalue; the seeded search starts over from A_N instead
+    rng = np.random.default_rng([2, 41])
+    system = _wide_plant(rng, 2, 3)
+    pert = PerturbationSpec((1.0,) * 4, float(10.0 ** rng.uniform(-3.0, 0.0)))
+    disc, shifted_pert = _shifted_disc(system, pert, 15)
+    sa = spectral_abscissa_exact(system, assemble(system, 15))
+    roots = tuple(r - sa.value for r in sa.roots)
+    got = bisect(disc, shifted_pert, 1e-3, roots)
+    want = bisect(disc, shifted_pert, 1e-3)
+    assert got[:2] == want[:2] and got[3] == want[3]
+    assert got[2].tobytes() == want[2].tobytes()
+    assert want[0] > 0.0  # right of the rightmost root
 
 
 def test_predict_new_mesh_order_misses(monkeypatch):
