@@ -32,6 +32,8 @@ class TimeDelaySystem:
 
     Immutable: the matrices are read-only copies.  Systems compare and hash
     by identity, so analysis cached for one system object never goes stale.
+    What `char_matrix` reads (delay array, identity, delay terms) is cached
+    read-only, like `norms`.
     """
 
     delays: tuple
@@ -60,7 +62,7 @@ class TimeDelaySystem:
                 )
             if not np.isfinite(a).all():
                 raise ValueError(f"matrix {k} has non-finite entries")
-            a.setflags(write=False)
+            _read_only(a)
         if any(not math.isfinite(t) for t in delays):
             raise ValueError("delays must be finite")
         if delays[0] != 0.0:
@@ -85,7 +87,29 @@ class TimeDelaySystem:
     @cached_property
     def norms(self):
         """Spectral norms (||A_0||_2, ..., ||A_m||_2), computed once."""
-        return tuple(float(np.linalg.norm(a, 2)) for a in self.matrices)
+        return tuple(np.linalg.norm(self.matrices, 2, axis=(1, 2)).tolist())
+
+    @cached_property
+    def delay_array(self):
+        return _read_only(np.array(self.delays))
+
+    @cached_property
+    def identity(self):
+        return _read_only(np.eye(self.n, dtype=complex))
+
+    def delay_terms(self, orders):
+        """(-tau_i)^k A_i at [i, j] for k = orders[j] (A_i itself at k = 0)."""
+        terms = self.__dict__.setdefault("_delay_terms", {})  # by orders
+        if orders not in terms:
+            terms[orders] = _read_only(np.array(
+                [[(-tau) ** k * a for k in orders]
+                 for tau, a in zip(self.delays, self.matrices)]))
+        return terms[orders]
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -126,19 +150,21 @@ def char_matrix(system, lam, k=0):
     I + sum_i tau_i A_i exp(-lam*tau_i), and k >= 2 gives
     -sum_i (-tau_i)^k A_i exp(-lam*tau_i).  An array of lam gives the stack
     of these matrices, each equal bit for bit to the call at its entry; a
-    tuple of orders k, the stack of their results (each exp(-lam*tau_i)
-    computed once), each equal bit for bit to its own call.
+    tuple of orders k, the stack of their results, each equal bit for bit
+    to its own call.  All exp(-lam*tau_i) come from one np.exp call; the
+    cached terms `delay_terms(orders)` are subtracted in delay order.
     """
-    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    lam = np.asarray(lam, dtype=complex)[..., None, None, None]
     orders = k if isinstance(k, tuple) else (k,)
-    eye = np.eye(system.n, dtype=complex)
-    # each f has the result's shape, so the terms subtract in place
-    fs = [(lam if j == 0 else np.full_like(lam, j == 1)) * eye for j in orders]
-    for tau, a in zip(system.delays, system.matrices):
-        e = np.exp(-lam * tau)
-        for f, j in zip(fs, orders):
-            f -= (a if j == 0 else (-tau) ** j * a) * e  # (-tau)**0 * a is a
-    return np.array(fs) if orders is k else fs[0]
+    j = np.array(orders)[:, None, None]
+    # f[..., j, :, :] is order j's matrix, so the terms subtract in place
+    f = np.where(j == 0, lam, j == 1) * system.identity
+    exps = np.exp(np.multiply.outer(system.delay_array, -lam))
+    for e, terms in zip(exps, system.delay_terms(orders)):
+        f -= terms * e
+    d = f.ndim - 3  # lam's axes come before the orders' in f
+    f = f.transpose(d, *range(d), d + 1, d + 2)
+    return np.ascontiguousarray(f) if orders is k else f[0]
 
 
 def eval_weight(pert, system, sigma, k=0):

@@ -78,44 +78,49 @@ def _newton_roots(system, starts, tol, max_iter):
 
     Each start runs as if alone: its residual is tested before each of at
     most max_iter steps, and a singular Jacobian or non-finite lam ends it.
+    The live starts' lam, v and bordered Jacobian carry over from step to
+    step, compacted only when some start stops.
     """
     n = system.n
-    lam = np.array(starts, dtype=complex)
-    ok = np.zeros(lam.shape, dtype=bool)
+    out = np.array(starts, dtype=complex)
+    ok = np.zeros(out.shape, dtype=bool)
+    live, lam = np.arange(out.size), out.copy()  # the live starts' indices and lam
     f, fp = char_matrix(system, lam, (0, 1))
-    v = numerics.svd_complex(f, vectors=True).right_h[:, -1].conj()
-    c = v.conj()[:, None, :]  # the rows c*
-    live = np.arange(lam.size)  # starts still iterating; f, fp at lam[live]
+    c = numerics.svd_complex(f, vectors=True).right_h[:, -1:]  # the rows c*
+    v = c.conj().transpose(0, 2, 1)  # the columns v, with c* v = 1 at start
+    jac = np.zeros((lam.size, n + 1, n + 1), dtype=complex)
+    jac[:, n:, :n] = c  # the border row [c*, 0] never changes
     for _ in range(max_iter):
-        res = np.concatenate([f @ v[live, :, None],
-                              c[live] @ v[live, :, None] - 1.0], axis=1)
+        res = np.concatenate([f @ v, jac[:, n:, :n] @ v - 1.0], axis=1)
         # ||res|| >= max |res_i|, so only rows that can pass are squared: a
         # far-off start's residual is finite, but its square can overflow
         small = np.abs(res[:, :, 0]).max(axis=1) <= tol
-        ok[live[small]] = np.linalg.norm(res[small, :, 0], axis=1) <= tol
-        run = ~ok[live]
-        live, f, fp, res = live[run], f[run], fp[run], res[run]
-        if not live.size:
-            break
-        jac = np.zeros((live.size, n + 1, n + 1), dtype=complex)
-        jac[:, :n, :n] = f
-        jac[:, :n, n:] = fp @ v[live, :, None]
-        jac[:, n:, :n] = c[live]
-        solved = np.ones(live.size, dtype=bool)
+        if small.any():
+            small[small] = np.linalg.norm(res[small, :, 0], axis=1) <= tol
+            ok[live[small]], out[live], keep = True, lam, ~small
+            live, lam, v, jac, f, fp, res = [
+                x[keep] for x in (live, lam, v, jac, f, fp, res)]
+            if not live.size:
+                break
+        jac[:, :n] = np.concatenate([f, fp @ v], axis=2)
         try:
-            step = numerics.solve_complex(jac, -res)
+            step, solved = numerics.solve_complex(jac, -res), True
         except numerics.SingularMatrixError:  # drop only the singular ones
-            step = np.zeros_like(res)
+            step, solved = np.zeros_like(res), np.ones(live.size, dtype=bool)
             for i in range(live.size):
                 try:
                     step[i] = numerics.solve_complex(jac[i], -res[i])
                 except numerics.SingularMatrixError:
                     solved[i] = False
-        v[live] += step[:, :n, 0]
-        lam[live] += step[:, n, 0]
-        live = live[solved & np.isfinite(lam[live])]
-        f, fp = char_matrix(system, lam[live], (0, 1))
-    return lam, ok
+        v += step[:, :n]
+        lam += step[:, n, 0]
+        keep = solved & np.isfinite(lam)
+        if not keep.all():
+            out[live] = lam
+            live, lam, v, jac = [x[keep] for x in (live, lam, v, jac)]
+        f, fp = char_matrix(system, lam, (0, 1))
+    out[live] = lam
+    return out, ok
 
 
 def spectral_abscissa_exact(system, disc):
@@ -217,8 +222,10 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     vertical line there (its ends to 1% of its length, or tol), and repeat
     from its middle until a round gains less than tol/2.  An interval that
     reaches the real axis is [-u, u], as the set is symmetric; 0 and u/2
-    are both tried.  Walks to an edge take steps doubling from
-    max(tol, 1e-3).  omega is where sigma was proved (the start's on -inf).
+    are both tried.  Walks to an edge step max(tol, 1e-3), then double the
+    step, or go 1.25 times as far as the zero of the secant through the last
+    two points when the gap rose and that is farther.  omega is where sigma
+    was proved (the start's on -inf).
     """
     target = (1.0 - 1e-8) * pert.epsilon
 
@@ -239,7 +246,8 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
             fb = f(b)
             if not fb < 0.0:
                 return a, fa, b, fb
-            a, fa, step = b, fb, 2.0 * step
+            lead = 1.25 * fb * step / (fa - fb) if fb > fa else 0.0
+            a, fa, step = b, fb, max(2.0 * step, lead)
 
     def horizontal(w, s, g):
         along = partial(gap, w=w)
@@ -273,6 +281,11 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     return sigma, omega
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def bisect(disc, pert, tol, roots=()):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
@@ -299,10 +312,10 @@ def bisect(disc, pert, tol, roots=()):
     where sigma_lo was proved (a search's omega, or the crossings of the
     eigensolve that set it; one more eigensolve reads the crossings only
     when neither did), and the rounds (one eigensolve each).
-    Raises PredictionError after BISECT_MAX_ITER rounds.
+    Raises PredictionError after BISECT_MAX_ITER rounds, and ValueError
+    unless 0 < tol < inf.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     folded = sorted(dict.fromkeys((r.real, abs(r.imag)) for r in roots),
                     key=lambda r: -r[0])[:3]
     sigma_lo, candidates = -math.inf, {}  # omega -> where its search starts
@@ -373,9 +386,11 @@ def predict(system, pert, N=15, tol=1e-3):
     is the discretized abscissa.  The recentering (one assembly and one
     eigensolve of A_N; `reassemble` gives the recentered A_N) depends only
     on the system and N: it runs on the first call for a system object and
-    N, and later calls reuse it.
+    N, and later calls reuse it.  Raises ValueError, before any assembly,
+    unless 0 < tol < inf.
     """
     check_pair(system, pert)
+    _check_tol(tol)
     recentered = _RECENTERED.setdefault(system, {})
     if N not in recentered:
         disc = assemble(system, N)

@@ -203,6 +203,16 @@ def test_compute_rejects_nonpositive_gn_tol(tmp_path, capsys):
     assert err.startswith("error:") and "gn_tol" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_compute_rejects_nonfinite_tol(tmp_path, capsys, recwarn, tol):
+    path = write_file(tmp_path, ONE_DELAY)
+    code, out, err = run(capsys, "compute", path, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tol must be positive and finite, got {tol}\n"
+    assert not recwarn.list
+
+
 # --- contour ------------------------------------------------------------------
 
 

@@ -82,6 +82,22 @@ def test_system_norms_are_cached_and_read_only():
         system.norms = (0.0, 0.0)
 
 
+def test_system_char_matrix_tables_are_cached_and_read_only():
+    system = TimeDelaySystem((0.0, 0.5), (np.diag([3.0, -4.0]), np.eye(2)))
+    assert system.delay_array.tolist() == [0.0, 0.5]
+    assert np.array_equal(system.identity, np.eye(2))
+    terms = system.delay_terms((0, 1, 2))
+    assert terms.shape == (2, 3, 2, 2)
+    assert np.array_equal(terms[:, 0], system.matrices)
+    assert np.array_equal(terms[1, 2], 0.25 * np.eye(2))
+    assert system.delay_terms((0, 1, 2)) is terms
+    tables = (system.delay_array, system.identity, terms,
+              system.delay_terms((1,)))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 7.0
+
+
 def test_systems_hash_and_compare_by_identity():
     a = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
     b = TimeDelaySystem((0.0, 1.0), (np.eye(2), np.eye(2)))
@@ -145,6 +161,10 @@ def test_char_matrix_matches_reference(recipe):
         rng = np.random.default_rng([47, seed])
         n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
         system = recipe(rng, n, m)
+        if seed == 9:  # a repeated delay, and an exactly zero matrix
+            system = TimeDelaySystem(
+                system.delays + system.delays[-1:],
+                (*system.matrices[:-1], np.zeros((n, n)), system.matrices[-1]))
         lam = rng.uniform(-3.0, 2.0, (3, 4)) + 1j * rng.uniform(-8.0, 8.0, (3, 4))
         lam[0, :2] = [0.0, lam[0, 2].real]  # lam = 0 and a real lam
         for k in range(3):

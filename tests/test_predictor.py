@@ -309,10 +309,16 @@ def test_bisect_respects_budget():
     assert time.perf_counter() - start < 1.0
 
 
-def test_bisect_rejects_bad_tol():
+def test_bisect_rejects_bad_tol(monkeypatch):
     pert = PerturbationSpec((1.0,), 0.25)
-    with pytest.raises(ValueError):
-        bisect(assemble(delay_free(0.0), 0), pert, tol=0.0)
+    assemblies = _count_calls(monkeypatch, "assemble")
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bisect(assemble(delay_free(0.0), 0), pert, tol=tol)
+        assemblies.clear()  # predict rejects it before any assembly
+        with pytest.raises(ValueError, match="positive and finite"):
+            predict(delay_free(0.0), pert, N=0, tol=tol)
+        assert not assemblies
 
 
 # --- end-to-end prediction ---------------------------------------------------
@@ -423,6 +429,27 @@ def test_predict_fresh_plant_one_assembly_two_eigensolves(monkeypatch):
         assert dims == [16 * (n + 1), 32 * (n + 1)]
         assert len(assemblies) == 1
         assert "eigenvalues" not in vars(predictor._RECENTERED[system][15][1])
+
+
+def test_predict_singular_values_on_fresh_plants(monkeypatch):
+    # the small-batch benchmark's first nine plants: walks to an edge that
+    # step past the zero of the secant once the gap rises take 131 n x n
+    # singular values in all, where steps that only double took 179
+    calls = []
+
+    def counted(matrix, vectors=False):
+        calls.append(vectors)
+        return svd_complex(matrix, vectors)
+
+    monkeypatch.setattr(numerics, "svd_complex", counted)
+    for i in range(9):
+        rng = np.random.default_rng([1, i])
+        n, m = divmod(i, 3)
+        system = _small_batch_plant(rng, n + 1, m + 1)
+        pert = PerturbationSpec((1.0,) * (m + 2),
+                                float(10.0 ** rng.uniform(-3.0, 0.0)))
+        predict(system, pert, N=15, tol=1e-3)
+    assert len(calls) <= 145
 
 
 @pytest.mark.parametrize("recipe", [_small_batch_plant, _criterion10_plant,
