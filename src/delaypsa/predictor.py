@@ -221,8 +221,8 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     line (to tol/4, below sigma_hi), then the inside interval of the
     vertical line there (its ends to 1% of its length, or tol), and repeat
     from its middle until a round gains less than tol/2.  An interval that
-    reaches the real axis is [-u, u], as the set is symmetric; 0 and u/2
-    are both tried.  Walks to an edge step max(tol, 1e-3), then double the
+    reaches the real axis is [-u, u], as the set is symmetric (u is found
+    like any end); 0 and u/2 are both tried.  Walks to an edge step max(tol, 1e-3), then double the
     step, or go 1.25 times as far as the zero of the secant through the last
     two points when the gap rose and that is farther.  omega is where sigma
     was proved (the start's on -inf).
@@ -262,12 +262,12 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
         across = partial(gap, sigma)
         down = walk(across, omega, g, -1.0, 0.0, partial(across, 0.0))
         up = walk(across, omega, g, 1.0, math.inf, None)
+        width = max(0.01 * (up[2] - down[2]), tol)
+        u = _narrow(across, *up, width)[0]
         if down[3] < 0.0:  # inside on the real axis
-            trials = [0.0, 0.5 * up[0]]
+            trials = [0.0, 0.5 * u]
         else:
-            width = max(0.01 * (up[2] - down[2]), tol)
-            trials = [0.5 * (_narrow(across, *up, width)[0]
-                             + _narrow(across, *down, width)[0])]
+            trials = [0.5 * (u + _narrow(across, *down, width)[0])]
         best = (sigma, omega, g)
         for w in trials:
             gw = across(w) if w != omega else math.inf

@@ -117,10 +117,10 @@ def test_alpha_does_not_depend_on_the_prediction(seed):
     assert abs(coarse - fine) <= 1e-12 * abs(fine)
 
 
-def _small_batch_case(i):
-    # the small-batch benchmark's plant i of seed 1: (n, m) from i mod 9,
-    # matrices uniform(-2, 2), delays up to 1, epsilon 10**uniform(-3, 0)
-    rng = np.random.default_rng([1, i])
+def _small_batch_case(i, seed=1):
+    # the small-batch benchmark's plant i: (n, m) from i mod 9, matrices
+    # uniform(-2, 2), delays up to 1, epsilon 10**uniform(-3, 0)
+    rng = np.random.default_rng([seed, i])
     n, m = (k + 1 for k in divmod(i % 9, 3))
     mats = tuple(rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1))
     delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.0, m)))
@@ -144,6 +144,23 @@ def test_handed_off_frequencies_start_the_corrector(case):
     assert res.prediction.frequencies.size
     assert all(s.converged for s in res.correction.per_start)
     assert abs(res.alpha_eps - grid_alpha_ref(system, pert, res)) <= 2e-3
+
+
+@pytest.mark.parametrize("seed, plant", [(2, 4899), (3, 195), (3, 458)])
+def test_real_axis_interval_hands_off_its_upper_half(seed, plant):
+    # small-batch plants whose last vertical interval reaches the real
+    # axis, with a stationary point of the boundary on the axis left of the
+    # rightmost point (seed 2 plant 4899: sigma 1.66445 on the axis, the
+    # rightmost point 1.66510 at omega 0.254).  Halving the last inside
+    # point of the doubling walk up, not the interval's narrowed end,
+    # started Gauss-Newton between the two basins: plant 4899 was stopped
+    # as diverging, and plants 195 and 458 silently returned the point on
+    # the axis, 3.2e-4 and 2.8e-4 left of the rightmost one.  The grid
+    # oracle resolves these plants to 5.4e-5 or better
+    system, pert = _small_batch_case(plant, seed)
+    res = compute_psa(system, pert, N=15, tol=1e-3)
+    assert all(s.converged for s in res.correction.per_start)
+    assert abs(res.alpha_eps - grid_alpha_ref(system, pert, res)) <= 1e-4
 
 
 def _large_norm_plant(i):

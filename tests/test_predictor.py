@@ -433,7 +433,7 @@ def test_predict_fresh_plant_one_assembly_two_eigensolves(monkeypatch):
 
 def test_predict_singular_values_on_fresh_plants(monkeypatch):
     # the small-batch benchmark's first nine plants: walks to an edge that
-    # step past the zero of the secant once the gap rises take 131 n x n
+    # step past the zero of the secant once the gap rises take 137 n x n
     # singular values in all, where steps that only double took 179
     calls = []
 
