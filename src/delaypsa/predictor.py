@@ -222,10 +222,10 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     vertical line there (its ends to 1% of its length, or tol), and repeat
     from its middle until a round gains less than tol/2.  An interval that
     reaches the real axis is [-u, u], as the set is symmetric (u is found
-    like any end); 0 and u/2 are both tried.  Walks to an edge step max(tol, 1e-3), then double the
-    step, or go 1.25 times as far as the zero of the secant through the last
-    two points when the gap rose and that is farther.  omega is where sigma
-    was proved (the start's on -inf).
+    like any end); 0 and u/2 are both tried.  Walks to an edge step
+    max(tol, 1e-3), then double the step, or go 1.25 times as far as the
+    zero of the secant through the last two points when the gap rose and
+    that is farther.  omega is where sigma was proved (the start's on -inf).
     """
     target = (1.0 - 1e-8) * pert.epsilon
 
