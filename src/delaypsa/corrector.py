@@ -90,9 +90,6 @@ class CorrectorState:
     sigma: float
     anchor: np.ndarray
 
-    def pack(self):
-        return np.concatenate([self.x.real, self.x.imag, [self.omega, self.sigma]])
-
     def apply_step(self, step):
         m = len(self.x)
         self.x = self.x + step[:m] + 1j * step[m : 2 * m]
@@ -173,29 +170,21 @@ class GaussNewtonResult:
     iterations: int
     residual_norms: tuple
 
-    @property
-    def sigma(self):
-        return self.state.sigma
-
-    @property
-    def omega(self):
-        return self.state.omega
-
 
 def gauss_newton(system, pert, start, gn_tol=None):
     """Solve the extremality system from a CorrectorState start.
 
     Full-step Gauss-Newton through a dense least-squares solve, with one
-    `jacobian` linearization per iteration.  Stops when ||r|| <= gn_tol *
-    (1 + scale) with scale = max ||A_i||_2 (gn_tol defaults to 1e-10), when
-    the step collapses below 1e-14, after GN_MAX_ITER iterations, or on
-    three consecutive residual increases.  On convergence it takes one more
-    step from the Jacobian of the converged iterate, unless that Jacobian
-    is rank deficient, so the error no longer depends on the start; the
-    returned state is then one step past the last of residual_norms, which
-    holds only the norms evaluated, and the step is not counted in
-    iterations.  The result is also `correct`'s per-start record.  Raises
-    ValueError unless 0 < gn_tol < inf.
+    `jacobian` linearization per iteration.  status records the first exit
+    met, tested in this order at each iterate: ||r|| <= gn_tol *
+    (1 + max ||A_i||_2) (gn_tol defaults to 1e-10), the last step below
+    1e-14 relative, three consecutive residual increases, GN_MAX_ITER steps
+    taken, a rank-deficient step.  A converged run takes one more step from
+    the Jacobian of the converged iterate, unless it is rank deficient, so
+    the error no longer depends on the start; the returned state is then one
+    step past the last of residual_norms (the norms evaluated), and the step
+    is not counted in iterations.  The result is also `correct`'s per-start
+    record.  Raises ValueError unless 0 < gn_tol < inf.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -203,51 +192,42 @@ def gauss_newton(system, pert, start, gn_tol=None):
         sigma=float(start.sigma),
         anchor=start.anchor.astype(complex),
     )
-    scale = max(system.norms)
     gn_tol = 1e-10 if gn_tol is None else float(gn_tol)
     if not 0.0 < gn_tol < math.inf:
         raise ValueError(f"gn_tol must be positive and finite, got {gn_tol!r}")
-    threshold = gn_tol * (1.0 + scale)
-    norms = []
-    grew = 0
-    stalled = False
-    status = "max-iterations"
-    converged = False
-    iterations = 0
+    threshold = gn_tol * (1.0 + max(system.norms))
+    norms, grew, stalled, status = [], 0, False, None
     for iterations in range(GN_MAX_ITER + 1):
         r, jac = jacobian(system, pert, state)
-        rn = float(np.linalg.norm(r))
-        norms.append(rn)
-        if rn <= threshold:
+        norms.append(float(np.linalg.norm(r)))
+        grew = grew + 1 if len(norms) >= 2 and norms[-1] > norms[-2] else 0
+        if norms[-1] <= threshold:
             status = "converged"
-            converged = True
-            try:  # polish with the Jacobian already built
-                state.apply_step(numerics.least_squares_real(jac, r))
-            except numerics.RankDeficientError:
-                pass
-            break
-        if stalled:
+        elif stalled:
             status = "stalled"
-            break
-        if len(norms) >= 2 and rn > norms[-2]:
-            grew += 1
-            if grew >= 3:
-                status = "diverged"
-                break
+        elif grew >= 3:
+            status = "diverged"
+        elif iterations == GN_MAX_ITER:
+            status = "max-iterations"
         else:
-            grew = 0
-        if iterations == GN_MAX_ITER:
-            break
-        try:
-            step = numerics.least_squares_real(jac, r)
-        except numerics.RankDeficientError:
-            status = "rank-deficient"
+            try:
+                step = numerics.least_squares_real(jac, r)
+            except numerics.RankDeficientError:
+                status = "rank-deficient"
+        if status:
             break
         state.apply_step(step)
-        stalled = np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(state.pack()))
-    if converged:
+        unknowns = np.concatenate([state.x.real, state.x.imag,
+                                   [state.omega, state.sigma]])
+        stalled = np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(unknowns))
+    if status == "converged":
+        try:  # polish with the Jacobian already built
+            state.apply_step(numerics.least_squares_real(jac, r))
+        except numerics.RankDeficientError:
+            pass
         state.fold()
-    return GaussNewtonResult(state, converged, status, iterations, tuple(norms))
+    return GaussNewtonResult(state, status == "converged", status, iterations,
+                             tuple(norms))
 
 
 @dataclass(frozen=True)
@@ -292,11 +272,10 @@ def correct(system, pert, prediction, gn_tol=None):
             "no Gauss-Newton start converged; retry with a finer prediction "
             "(smaller tol or larger N)"
         )
-    best = max(winners, key=lambda s: s.sigma)
+    best = max(winners, key=lambda s: s.state.sigma).state
     warnings = []
     lo, hi = prediction.bracket
-    width = hi - lo if math.isfinite(hi) else math.inf
-    if math.isfinite(width) and abs(best.sigma - prediction.alpha_pred) > 10.0 * width:
+    if abs(best.sigma - prediction.alpha_pred) > 10.0 * (hi - lo):
         warnings.append(
             "correction moved more than 10x the prediction bracket width; "
             "consider a smaller predictor tol or a larger mesh order N"

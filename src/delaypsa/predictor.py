@@ -118,7 +118,9 @@ def _newton_roots(system, starts, tol, max_iter):
         if not keep.all():
             out[live] = lam
             live, lam, v, jac = [x[keep] for x in (live, lam, v, jac)]
-        f, fp = char_matrix(system, lam, (0, 1))
+        # exp overflows at a far-left lam; the non-finite step it gives ends it
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, fp = char_matrix(system, lam, (0, 1))
     out[live] = lam
     return out, ok
 
@@ -129,19 +131,12 @@ def spectral_abscissa_exact(system, disc):
     Newton-corrects the 10 rightmost eigenvalues of the collocation matrix
     on the exact root equations F(lam) v = 0, c* v = 1, all starts together
     (`_newton_roots`), each with its own 40 steps, residual tolerance
-    1e-12 * (1 + max ||A_i||_2) and failure exit, as if alone.  A start that
-    is an earlier one or its conjugate takes that one's result, conjugated
-    as F(conj lam) = conj F(lam).  Falls back to the discretized abscissa,
-    with no roots, if no start converges.
+    1e-12 * (1 + max ||A_i||_2) and failure exit, as if alone.  Falls back
+    to the discretized abscissa, with no roots, if no start converges.
     """
     vals = disc.eigenvalues
-    starts = vals[np.argsort(-vals.real)][:10]
-    _, own, src = np.unique(starts.real + 1j * abs(starts.imag),
-                            return_index=True, return_inverse=True)
-    lams, oks = _newton_roots(system, starts[own],
+    lams, oks = _newton_roots(system, vals[np.argsort(-vals.real)][:10],
                               1e-12 * (1.0 + max(system.norms)), max_iter=40)
-    lams = np.where(starts == starts[own][src], lams[src], lams[src].conj())
-    oks = oks[src]
     roots = []
     for lam in lams[oks].tolist():  # deduplicated in start order
         if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):

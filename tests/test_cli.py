@@ -170,6 +170,8 @@ def test_compute_malformed_file(tmp_path, capsys):
     ("weights", 3), ("epsilon", None), ("n", True),
     # a boolean among numbers, which numpy alone reads as 1
     ("A0", {"n": 2, "A0": [[0.0, True], [0, -1]], "A": [[[-1, 0], [0, -1]]]}),
+    # fewer delayed matrices than delays
+    ("A", {"delays": [0.5, 1.0]}),
 ])
 def test_compute_wrongly_typed_field_exits_one(tmp_path, capsys, field, value):
     fields = value if isinstance(value, dict) else {field: value}
@@ -177,6 +179,13 @@ def test_compute_wrongly_typed_field_exits_one(tmp_path, capsys, field, value):
     code, out, err = run(capsys, "compute", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_compute_non_object_file_exits_one(tmp_path, capsys):
+    path = write_file(tmp_path, [ONE_DELAY])
+    code, out, err = run(capsys, "compute", path)
+    assert code == 1 and out == ""
+    assert "JSON object" in err
 
 
 def test_compute_names_offending_field(tmp_path, capsys):
@@ -361,6 +370,19 @@ def test_oracle_region_too_small_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "re-max" in err or "right edge" in err
+
+
+def test_oracle_region_without_inside_node_exit(tmp_path, capsys):
+    # the disk |z| <= 0.25 lies wholly left of the region
+    path = write_file(tmp_path, DISK)
+    code, _, err = run(
+        capsys, "oracle", path,
+        "--re-min", "1.0", "--re-max", "1.5",
+        "--im-min", "-0.5", "--im-max", "0.5",
+        "--n-re", "21", "--n-im", "21",
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "check the region" in err
 
 
 @pytest.mark.parametrize("command", ["oracle", "contour"])

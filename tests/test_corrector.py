@@ -416,11 +416,11 @@ def distinct_solutions(res, tol=1e-8):
         if not s.converged:
             continue
         if not any(
-            abs(s.sigma - a) <= tol * (1.0 + abs(a))
-            and abs(s.omega - b) <= tol * (1.0 + abs(b))
+            abs(s.state.sigma - a) <= tol * (1.0 + abs(a))
+            and abs(s.state.omega - b) <= tol * (1.0 + abs(b))
             for a, b in out
         ):
-            out.append((s.sigma, s.omega))
+            out.append((s.state.sigma, s.state.omega))
     return out
 
 
@@ -491,3 +491,7 @@ def test_correct_warns_on_large_move():
     res = correct(sys0, PerturbationSpec((1.0,), 0.26), pred)
     assert abs(res.alpha_eps - 0.26) < 1e-10
     assert any("bracket" in w for w in res.warnings)
+    # an open bracket bounds no move
+    open_pred = dataclasses.replace(pred, bracket=(pred.alpha_pred, math.inf))
+    res = correct(sys0, PerturbationSpec((1.0,), 0.26), open_pred)
+    assert not any("bracket" in w for w in res.warnings)

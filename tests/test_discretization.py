@@ -225,6 +225,8 @@ def test_assemble_rejects_invalid_n(one_delay):
         with pytest.raises(ValueError, match="^invalid N"):
             assemble(delay_free(1.0), N)
     with pytest.raises(ValueError, match="^invalid N"):
+        assemble(one_delay, 0)  # N = 0 only for delay-free systems
+    with pytest.raises(ValueError, match="^invalid N"):
         compute_psa(one_delay, PerturbationSpec((1.0, 1.0), 0.1), N=2.5)
     # numpy integers are integers
     disc = assemble(one_delay, np.int64(6))

@@ -55,6 +55,16 @@ def test_rejects_nonfinite_matrix():
         TimeDelaySystem((0.0,), (np.array([[np.nan]]),))
 
 
+@pytest.mark.parametrize("delays, matrices, message", [
+    ((), (), "at least the zero-delay term"),
+    ((0.0,), (np.zeros((1, 2)),), "not square"),
+    ((0.0, math.inf), (np.zeros((1, 1)), np.zeros((1, 1))), "delays must be finite"),
+])
+def test_rejects_malformed_system(delays, matrices, message):
+    with pytest.raises(ValueError, match=message):
+        TimeDelaySystem(delays, matrices)
+
+
 def test_weights_validation():
     with pytest.raises(ValueError, match="positive"):
         PerturbationSpec((1.0, -2.0), 0.1)
@@ -62,6 +72,8 @@ def test_weights_validation():
         PerturbationSpec((math.inf, math.inf), 0.1)
     with pytest.raises(ValueError, match="epsilon"):
         PerturbationSpec((1.0,), 0.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        PerturbationSpec((), 0.1)
 
 
 def test_system_matrices_are_read_only_copies():

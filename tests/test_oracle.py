@@ -356,6 +356,19 @@ def test_contours_open_curve_ends_on_region_edge(one_delay, one_delay_pert):
         assert on_edge < 1e-12
 
 
+def test_contours_open_curve_extends_backward():
+    # the disk |z| <= 0.25 cut at im = 0.05 leaves a U-shaped arc; its first
+    # segment lies inside the arc, so stitching extends the chain backward
+    reg = GridRegion(-0.5, 0.5, -0.5, 0.05, 41, 41)
+    cs = contours(delay_free(0.0), disk_pert(0.25), reg)
+    assert len(cs.polylines) == 1
+    poly = cs.polylines[0]
+    assert poly[0] != poly[-1]
+    assert poly[0].imag == poly[-1].imag == 0.05
+    cell = 1.0 / 40.0
+    assert np.max(np.abs(np.abs(poly) - 0.25)) <= cell
+
+
 def test_contours_rightmost_vertex_bounded_by_abscissa(one_delay, one_delay_pert):
     res = compute_psa(one_delay, one_delay_pert, N=15, tol=1e-4)
     reg = GridRegion(-0.6, 0.2, -2.0, 2.0, 161, 161)

@@ -183,3 +183,23 @@ def test_far_newton_start_does_not_overflow(plant):
     assert math.isfinite(res.alpha_eps)
     assert res.alpha_eps >= res.prediction.shift_used or any(
         "left of the spectral abscissa" in w for w in res.warnings)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_left_newton_start_does_not_overflow_exp():
+    # F(lam) = lam + 800: every Newton start steps onto the root -800,
+    # where exp(-lam) in F overflows; those starts fail, the shift falls
+    # back to the discretized abscissa, and the answer is still the
+    # rightmost point, the root of sigma + 800 = 0.1 (1 + exp(-sigma))
+    res = compute_psa(TimeDelaySystem((0.0, 1.0), ([[-800.0]], [[0.0]])),
+                      PerturbationSpec((1.0, 1.0), 0.1))
+    lo, hi = -20.0, 0.0  # the gap below is negative at lo, positive at hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid + 800.0 - 0.1 * (1.0 + math.exp(-mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(res.alpha_eps - lo) <= 1e-12 * abs(lo)
+    assert any("Newton correction failed for every start" in w
+               for w in res.warnings)

@@ -112,33 +112,6 @@ def test_abscissa_matches_per_start_reference(recipe):
             assert abs(a - b) <= 1e-15 * abs(b)
 
 
-@pytest.mark.parametrize("recipe", [_small_batch_plant, _wide_plant,
-                                    _criterion10_plant, _stiff_plant])
-def test_newton_refines_each_conjugate_pair_once(monkeypatch, recipe):
-    # F(conj lam) = conj F(lam), so a start whose conjugate came earlier is
-    # not refined again; the per-start reference test above pins the roots
-    received = []
-    newton = predictor._newton_roots
-
-    def recording(system, starts, tol, max_iter):
-        received.append(np.array(starts))
-        return newton(system, starts, tol, max_iter)
-
-    monkeypatch.setattr(predictor, "_newton_roots", recording)
-    skipped = 0
-    for seed in range(40):
-        rng = np.random.default_rng([18, seed])
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        system = recipe(rng, n, m)
-        disc = assemble(system, 15)
-        spectral_abscissa_exact(system, disc)
-        got = received[-1]
-        for k, s in enumerate(got):
-            assert s not in got[:k] and s.conjugate() not in got[:k]
-        skipped += min(10, disc.eigenvalues.size) - got.size
-    assert skipped > 0
-
-
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
 def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
     # one start's Jacobian is singular, or its first step infinite: that
