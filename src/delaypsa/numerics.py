@@ -4,15 +4,26 @@ Thin wrappers around LAPACK via numpy.linalg that normalize error handling
 for the rest of the package: singular solves, rank-deficient least squares
 and non-converged eigensolves surface as typed exceptions instead of
 numpy's generic LinAlgError.  Everything is dense and double precision.
+`singular_values` runs stacks of over _PIECE matrices in pieces on a thread
+pool, one worker per usable CPU; each matrix is one LAPACK call either way, so
+results are bit for bit the same for any CPU count (BLAS threads are separate).
 `DelayPsaError` is the base of the package's own exception types; it
 lives here because this module imports nothing else from the package.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_PIECE = 256  # matrices per task of a split singular_values call
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = []  # the thread pool, made on first split; a forked child drops it
+os.register_at_fork(after_in_child=_POOL.clear)
 
 
 class DelayPsaError(Exception):
@@ -80,8 +91,24 @@ def singular_values(stack):
     the last axis as with svd_complex.
     """
     a = np.asarray(stack, dtype=complex)
+    count = int(np.prod(a.shape[:-2]))
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        if count <= _PIECE or _WORKERS < 2:
+            return np.linalg.svd(a, compute_uv=False)
+        flat = a.reshape(count, *a.shape[-2:])
+        out = np.empty((count, min(a.shape[-2:])))
+        if not _POOL:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL.append(ThreadPoolExecutor(_WORKERS))
+
+        def piece(rows):  # all a worker runs: LAPACK and the copy into out
+            out[rows] = np.linalg.svd(flat[rows], compute_uv=False)
+
+        tasks = [_POOL[0].submit(piece, slice(lo, lo + _PIECE))
+                 for lo in range(0, count, _PIECE)]  # all end before any raise
+        for error in filter(None, [task.exception() for task in tasks]):
+            raise error
+        return out.reshape(*a.shape[:-2], out.shape[1])
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 

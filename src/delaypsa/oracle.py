@@ -19,6 +19,7 @@ answer column.  grid_level evaluates every node.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,17 @@ class GridRegion:
     n_im: int
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"region bounds must be finite, got {bounds!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("empty region: need re_min < re_max and im_min < im_max")
-        if self.n_re < 2 or self.n_im < 2:
-            raise ValueError("need at least 2 samples per axis")
+        try:
+            if min(map(operator.index, (self.n_re, self.n_im))) < 2:
+                raise ValueError("need at least 2 samples per axis")
+        except TypeError:
+            raise ValueError("sample counts must be integers, got "
+                             f"{self.n_re!r} and {self.n_im!r}") from None
 
     def re_axis(self):
         return np.linspace(self.re_min, self.re_max, self.n_re)

@@ -360,6 +360,18 @@ def test_oracle_compare_gap(tmp_path, capsys):
     assert record["gap"] <= 2e-3
 
 
+def test_oracle_non_finite_bound_exits_one(tmp_path, capsys, recwarn):
+    path = write_file(tmp_path, DISK)
+    code, out, err = run(
+        capsys, "oracle", path,
+        "--re-min", "-0.5", "--re-max", "inf",
+        "--im-min", "-0.5", "--im-max", "0.5",
+    )
+    assert code == 1 and out == ""
+    assert "region bounds must be finite" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_oracle_region_too_small_exit(tmp_path, capsys):
     path = write_file(tmp_path, DISK)
     code, _, err = run(

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -64,6 +70,130 @@ def test_batched_singular_values_match_loop():
     batched = numerics.singular_values(stack)
     for k in range(8):
         assert np.allclose(batched[k], numerics.svd_complex(stack[k]).values)
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", [1, 100, numerics._PIECE, numerics._PIECE + 1,
+                                   2 * numerics._PIECE, 3 * numerics._PIECE + 17])
+def test_split_singular_values_bytes_equal_one_call(monkeypatch, workers, count):
+    # below, at and above one piece, and counts no piece size divides
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    stack = _random_stack(np.random.default_rng([21, count]), (count, 4, 4))
+    got = numerics.singular_values(stack)
+    want = np.linalg.svd(stack, compute_uv=False)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 7), (7, 300, 2, 5), (2, 400, 5, 2),
+                                   (3 * numerics._PIECE + 5, 6, 3)])
+def test_split_singular_values_any_leading_dims(monkeypatch, shape):
+    # 2-D and 4-D inputs, and p != q either way round
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    stack = _random_stack(np.random.default_rng(22), shape)
+    got = numerics.singular_values(stack)
+    want = np.linalg.svd(stack, compute_uv=False)
+    assert got.shape == want.shape == shape[:-2] + (min(shape[-2:]),)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_singular_values_nan_raises(monkeypatch, workers):
+    # one bad matrix deep in a stack of many pieces fails the whole call
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    stack = _random_stack(np.random.default_rng(24), (5 * numerics._PIECE, 3, 3))
+    stack[4 * numerics._PIECE + 9, 1, 2] = np.nan
+    with pytest.raises(numerics.NoConvergenceError):
+        numerics.singular_values(stack)
+    # the pool still serves the next call
+    good = stack[: 2 * numerics._PIECE]
+    assert np.array_equal(numerics.singular_values(good),
+                          np.linalg.svd(good, compute_uv=False))
+
+
+def test_split_singular_values_under_thread_stress(monkeypatch):
+    # more workers than cores, several calling threads sharing the pool and
+    # a short switch interval: every call must still get its own values
+    monkeypatch.setattr(numerics, "_WORKERS", 8)
+    monkeypatch.setattr(numerics, "_POOL", [])
+    rng = np.random.default_rng(26)
+    stacks = [_random_stack(rng, (numerics._PIECE * k + 3, 3, 3)) for k in (2, 3, 5, 7)]
+    wants = [np.linalg.svd(st, compute_uv=False).tobytes() for st in stacks]
+    ok = [0] * len(stacks)
+
+    def caller(i):
+        for _ in range(5):
+            ok[i] += numerics.singular_values(stacks[i]).tobytes() == wants[i]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(len(stacks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in numerics._POOL:
+            pool.shutdown()
+    assert ok == [5] * len(stacks)
+
+
+def test_worker_count_is_the_usable_cpus():
+    assert numerics._WORKERS == len(os.sched_getaffinity(0))
+
+
+def test_pool_made_on_first_split_only():
+    # importing the package and solving with the predictor start no thread
+    # pool and do not import concurrent.futures; a split sweep does both
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from delaypsa import PerturbationSpec, TimeDelaySystem, compute_psa\n"
+        "from delaypsa import numerics\n"
+        "numerics._WORKERS = 2\n"
+        "compute_psa(TimeDelaySystem((0.0, 1.0), ([[0.0]], [[-1.0]])),\n"
+        "            PerturbationSpec((1.0, 1.0), 0.1))\n"
+        "assert 'concurrent.futures' not in sys.modules and not numerics._POOL\n"
+        "numerics.singular_values(np.ones((numerics._PIECE + 1, 2, 2)))\n"
+        "assert 'concurrent.futures' in sys.modules and len(numerics._POOL) == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def _split_sweep_in_child(stack, want):
+    got = numerics.singular_values(stack)
+    os._exit(0 if got.tobytes() == want.tobytes() else 1)
+
+
+# Python 3.12 warns on fork in a process with threads; the child is checked here
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_split_sweep_in_forked_child(monkeypatch):
+    # a forked child inherits the pool object but not its worker threads; it
+    # must make its own pool instead of waiting on dead workers forever
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    stack = _random_stack(np.random.default_rng(25), (4 * numerics._PIECE, 3, 3))
+    want = numerics.singular_values(stack)
+    assert numerics._POOL
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_sweep_in_child, args=(stack, want))
+    child.start()
+    child.join(timeout=60)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+        pytest.fail("the split sweep in the forked child hung")
+    assert child.exitcode == 0
 
 
 def test_svd_stack_matches_loop():

@@ -53,6 +53,27 @@ def test_region_validation():
         GridRegion(0.0, 1.0, 0.0, 1.0, 1, 5)
 
 
+@pytest.mark.parametrize("n_re, n_im", [(2.5, 3), (21.0, 21), (21, 21.0),
+                                        ("21", 21), (None, 21), (np.float64(5), 5)])
+def test_region_rejects_non_integer_counts(n_re, n_im):
+    with pytest.raises(ValueError, match="sample counts must be integers"):
+        GridRegion(-2.0, 1.0, -1.0, 1.0, n_re, n_im)
+
+
+@pytest.mark.parametrize("bounds", [(-2.0, math.inf, -1.0, 1.0),
+                                    (-math.inf, 1.0, -1.0, 1.0),
+                                    (-2.0, 1.0, -1.0, math.nan),
+                                    (math.nan, math.nan, -1.0, 1.0)])
+def test_region_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        GridRegion(*bounds, 21, 21)
+
+
+def test_region_accepts_integer_like_counts():
+    region = GridRegion(-2, 1, -1, 1, np.int64(5), 5)
+    assert len(region.re_axis()) == 5 and len(region.im_axis()) == 5
+
+
 def test_region_axes_hit_endpoints():
     reg = GridRegion(-1.0, 1.0, 0.0, 2.0, 11, 21)
     assert reg.re_axis()[0] == -1.0 and reg.re_axis()[-1] == 1.0
@@ -249,6 +270,22 @@ def test_grid_psa_evaluates_few_nodes(large_case, monkeypatch):
     # the full grid would be 201 * 201 + 3 * 441 = 41 724, the stride-4
     # lattice is 51 * 51 = 2 601
     assert counted[0] <= 3500
+
+
+def test_oracle_outputs_equal_on_one_worker(large_case, monkeypatch):
+    # the 201 x 201 region of a (10, 7) plant: its stacks run split across
+    # the thread pool, and every output equals the one of a single worker
+    outputs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        outputs.append((contours(*large_case), grid_psa(*large_case),
+                        grid_level(*large_case)))
+    (c2, p2, g2), (c1, p1, g1) = outputs
+    assert c2.level == c1.level and len(c2.polylines) == len(c1.polylines)
+    for a, b in zip(c2.polylines, c1.polylines):
+        assert a.tobytes() == b.tobytes()
+    assert p2 == p1
+    assert g2.tobytes() == g1.tobytes()
 
 
 def test_oracle_cost_varies_little_between_plants(monkeypatch):
