@@ -179,9 +179,10 @@ def gauss_newton(system, pert, start, gn_tol=None):
     met, tested in this order at each iterate: ||r|| <= gn_tol *
     (1 + max ||A_i||_2) (gn_tol defaults to 1e-10), the last step below
     1e-14 relative, three consecutive residual increases, GN_MAX_ITER steps
-    taken, a rank-deficient step.  A converged run takes one more step from
-    the Jacobian of the converged iterate, unless it is rank deficient, so
-    the error no longer depends on the start; the returned state is then one
+    taken, a rank-deficient step; an iterate so far left that w(sigma)
+    overflows is diverged.  A converged run takes one more step from the
+    Jacobian of the converged iterate, unless it is rank deficient, so the
+    error no longer depends on the start; the returned state is then one
     step past the last of residual_norms (the norms evaluated), and the step
     is not counted in iterations.  The result is also `correct`'s per-start
     record.  Raises ValueError unless 0 < gn_tol < inf.
@@ -198,7 +199,11 @@ def gauss_newton(system, pert, start, gn_tol=None):
     threshold = gn_tol * (1.0 + max(system.norms))
     norms, grew, stalled, status = [], 0, False, None
     for iterations in range(GN_MAX_ITER + 1):
-        r, jac = jacobian(system, pert, state)
+        try:
+            r, jac = jacobian(system, pert, state)
+        except OverflowError:  # w(sigma) at a sigma far left
+            status = "diverged"
+            break
         norms.append(float(np.linalg.norm(r)))
         grew = grew + 1 if len(norms) >= 2 and norms[-1] > norms[-2] else 0
         if norms[-1] <= threshold:

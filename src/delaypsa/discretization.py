@@ -11,7 +11,6 @@ rightmost eigenvalues of A_N approximate the rightmost characteristic roots.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,14 +101,13 @@ def lagrange_values(mesh, t):
 
 @dataclass(frozen=True)
 class Discretization:
-    """Collocation data for one system: mesh, D and A_N.
+    """Collocation data for one system: mesh and A_N.
 
-    B_N = [0; I] is fixed by the structure and not stored.
+    B_N = [0; I] is not stored, nor is D: A_N's top N block rows are d[i, k] I.
     """
 
     system: TimeDelaySystem
     mesh: Mesh
-    D: np.ndarray
     state_matrix: np.ndarray  # (N+1)n x (N+1)n
 
     def __post_init__(self):
@@ -129,9 +127,10 @@ class Discretization:
     @cached_property
     def level_parts(self):
         """`char_matrix_approx`'s I_N, D11, D12, I_n, Gamma_N, Gamma_0..N-1."""
-        N, n, d = self.N, self.system.n, self.D.astype(complex)
+        N, n = self.N, self.system.n
+        d = self.state_matrix[: N * n : n, ::n].astype(complex)  # D[:N]
         gamma = self.state_matrix[N * n :].reshape(n, N + 1, n)
-        return (np.eye(N), d[:N, :N], d[:N, N], np.eye(n), gamma[:, N],
+        return (np.eye(N), d[:, :N], d[:, N], np.eye(n), gamma[:, N],
                 gamma[:, :N].astype(complex))
 
 
@@ -162,20 +161,20 @@ def assemble(system, N):
     dim = (N + 1) * n
     state = np.zeros((dim, dim))
     state[: N * n, :] = np.kron(d[:N, :], np.eye(n))
-    return reassemble(Discretization(system, mesh, d, state), system)
+    return reassemble(Discretization(system, mesh, state), system)
 
 
 def reassemble(disc, system):
     """`assemble(system, disc.N)` for a system with disc's delays and n, as
     `shift_system` makes: disc's A_N with its last block row rewritten (the
-    one writer of that row), sharing disc's mesh and D."""
+    one writer of that row), sharing disc's mesh."""
     N, n, state = disc.N, system.n, disc.state_matrix.copy()
     gamma = state[N * n :].reshape(n, N + 1, n)  # gamma[:, k] is Gamma_k
     gamma[:] = 0.0
     gamma[:, N] = system.matrices[0]
     for tau, a in zip(system.delays[1:], system.matrices[1:]):
         gamma += lagrange_values(disc.mesh, -tau)[:, None] * a[:, None, :]
-    return Discretization(system, disc.mesh, disc.D, state)
+    return Discretization(system, disc.mesh, state)
 
 
 def char_matrix_approx(disc, lam):
@@ -204,10 +203,8 @@ def level_approx(disc, pert, sigma, omega):
     """
     fmat = char_matrix_approx(disc, complex(sigma, omega))
     smin = numerics.svd_complex(fmat).values[-1]
-    w = eval_weight(pert, disc.system, sigma)
-    if smin == 0.0:
-        return math.inf
-    return w / smin
+    with np.errstate(divide="ignore"):  # +inf at a root of F_N
+        return eval_weight(pert, disc.system, sigma) / smin
 
 
 def spectral_abscissa_approx(disc):

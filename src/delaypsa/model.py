@@ -10,9 +10,9 @@ of complex lam where the level function
 
 exceeds 1/epsilon, with F the characteristic matrix.  f is evaluated
 through the smallest singular value, never by forming an inverse, and is
-+inf exactly at characteristic roots.  `char_matrix` (also on an array of
-lam, as in the oracle's sigma_min sweeps) and `eval_weight` are the only
-places that write F, w and their derivatives.
++inf exactly at characteristic roots.  Only this module writes F, w and
+their derivatives (`char_matrix`, on a lam or a lam array; `eval_weight`),
+sigma_min(F) (`smallest_singular`) and F's delay-term bounds (`delay_bound`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
+
+_CHUNK = 200_000  # matrix entries per batched SVD call, bounds memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +183,31 @@ def eval_weight(pert, system, sigma, k=0):
 
 
 def eval_level(system, pert, lam):
-    """Level function f(lam); +inf when lam is a characteristic root.
-
-    Computed as w(Re lam) / sigma_min(F(lam)) through the SVD.
-    """
-    f = char_matrix(system, lam)
-    smin = numerics.svd_complex(f).values[-1]
+    """Level function f(lam) = w(Re lam) / sigma_min(F(lam)); +inf when lam
+    is a characteristic root."""
     w = eval_weight(pert, system, complex(lam).real)
-    if smin == 0.0:
-        return math.inf
-    return w / smin
+    with np.errstate(divide="ignore"):
+        return w / smallest_singular(system, lam)
+
+
+def smallest_singular(system, lam):
+    """sigma_min(F(lam)) at a scalar or array lam; stacks of at most _CHUNK entries."""
+    flat = np.asarray(lam, dtype=complex).ravel()
+    step = max(1, _CHUNK // (system.n * system.n))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, step):  # one stack alive at a time
+        out[start : start + step] = numerics.singular_values(
+            char_matrix(system, flat[start : start + step]))[:, -1]
+    return out.reshape(np.shape(lam))
+
+
+def delay_bound(system, sigma, k):
+    """sum_i tau_i^k ||A_i||_2 exp(-tau_i sigma), k in (0, 1, 2), elementwise
+    over sigma: a bound on F^(k)'s delay terms at Re lam >= sigma, not finite
+    where a term overflows.  tau^2 is tau * tau (tau ** 2 may differ in the last bit)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum((1.0, tau, tau * tau)[k] * na * np.exp(-tau * sigma)
+                   for tau, na in zip(system.delays, system.norms))
 
 
 def shift_system(system, pert, alpha):

@@ -69,11 +69,16 @@ def eig_real(matrix):
         raise NoConvergenceError(str(exc)) from exc
 
 
-def svd_complex(matrix, vectors=False):
-    """SVD of a complex (or real) matrix, or of each matrix of a stack."""
+def _stack(matrix):  # both SVD kernels' input check
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2:
-        raise ValueError("svd_complex expects a 2-d array or a stack")
+        raise ValueError("expected a 2-d array or a stack of them")
+    return a
+
+
+def svd_complex(matrix, vectors=False):
+    """SVD of a complex (or real) matrix, or of each matrix of a stack."""
+    a = _stack(matrix)
     try:
         if vectors:
             u, s, vh = np.linalg.svd(a)
@@ -90,7 +95,7 @@ def singular_values(stack):
     Batched helper for grid evaluation; values are sorted descending along
     the last axis as with svd_complex.
     """
-    a = np.asarray(stack, dtype=complex)
+    a = _stack(stack)
     count = int(np.prod(a.shape[:-2]))
     try:
         if count <= _PIECE or _WORKERS < 2:

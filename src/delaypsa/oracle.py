@@ -2,8 +2,9 @@
 pseudospectral abscissa, and contour extraction for plotting.
 
 Everything here avoids the predictor/corrector machinery on purpose: the
-only ingredients are the characteristic matrix, the weight, and dense
-singular value sweeps, so results can cross-check the fast path.
+only ingredients are model's weight, its batched sigma_min(F) sweep
+(`smallest_singular`) and its bounds on F's delay terms (`delay_bound`),
+so results can cross-check the fast path.
 
 |sigma_min(F(lam)) - sigma_min(F(c))| <= ||F(lam) - F(c)||_2 <= L |lam - c|
 with L the smaller of 1 + sum_i tau_i ||A_i||_2 exp(-tau_i min(Re lam, Re c))
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .model import char_matrix, check_pair, eval_weight
+from .model import (char_matrix, check_pair, delay_bound, eval_weight,
+                    smallest_singular)
 
-_CHUNK = 200_000  # matrix entries per batched SVD call, bounds memory
 _STRIDES = (4, 2)  # lattices _place evaluates before the undecided nodes
 _MARGIN = 1e-8  # rounding slack of the Lipschitz test, relative to ||F||
 
@@ -53,34 +54,22 @@ class GridRegion:
 
     def __post_init__(self):
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError(f"region bounds must be finite, got {bounds!r}")
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError("empty region: need re_min < re_max and im_min < im_max")
-        try:
+        try:  # math.isfinite and operator.index raise TypeError on other types
+            if not all(map(math.isfinite, bounds)):
+                raise ValueError(f"region bounds must be finite, got {bounds!r}")
+            if not (self.re_min < self.re_max and self.im_min < self.im_max):
+                raise ValueError("empty region: need re_min < re_max and im_min < im_max")
             if min(map(operator.index, (self.n_re, self.n_im))) < 2:
                 raise ValueError("need at least 2 samples per axis")
         except TypeError:
-            raise ValueError("sample counts must be integers, got "
-                             f"{self.n_re!r} and {self.n_im!r}") from None
+            raise ValueError("sample counts must be integers and bounds numbers, got "
+                             f"{bounds!r} and {self.n_re!r}, {self.n_im!r}") from None
 
     def re_axis(self):
         return np.linspace(self.re_min, self.re_max, self.n_re)
 
     def im_axis(self):
         return np.linspace(self.im_min, self.im_max, self.n_im)
-
-
-def _smallest_singular(system, lam):
-    """sigma_min(F(lam)) at every point of the array lam, from char_matrix
-    stacks of at most _CHUNK matrix entries each."""
-    flat = lam.ravel()
-    step = max(1, _CHUNK // (system.n * system.n))
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, step):  # one stack alive at a time
-        out[start : start + step] = numerics.singular_values(
-            char_matrix(system, flat[start : start + step]))[:, -1]
-    return out.reshape(lam.shape)
 
 
 def _weight_row(system, pert, re):
@@ -92,7 +81,7 @@ def grid_level(system, pert, region):
     """Level function f on the grid, shape (n_im, n_re); +inf at roots."""
     frequency_bound(system, pert, region.re_min)
     re, im = region.re_axis(), region.im_axis()
-    smin = _smallest_singular(system, re[None, :] + 1j * im[:, None])
+    smin = smallest_singular(system, re[None, :] + 1j * im[:, None])
     with np.errstate(divide="ignore"):
         return _weight_row(system, pert, re)[None, :] / smin
 
@@ -117,39 +106,39 @@ def grid_psa(system, pert, region, refine_iters=3):
     are placed by _place, so few are evaluated.
     """
     frequency_bound(system, pert, region.re_min)
-    best_re, best_im = _rightmost_inside(system, pert, region, edge_rule=True)
+    j, best_re, best_im = _rightmost_inside(system, pert, region)
+    if j == region.n_re - 1:
+        raise RegionTooSmallError("level set reaches the right edge; extend re_max")
     cell_re = (region.re_max - region.re_min) / (region.n_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.n_im - 1)
     for _ in range(refine_iters):
         sub = GridRegion(best_re - cell_re, best_re + cell_re,
                          best_im - cell_im, best_im + cell_im, 21, 21)
         # the previous maximizer is the center node, so sub has an inside node
-        best_re, best_im = _rightmost_inside(system, pert, sub, edge_rule=False)
+        _, best_re, best_im = _rightmost_inside(system, pert, sub)
         cell_re, cell_im = cell_re / 10.0, cell_im / 10.0
     return GridPsaResult(float(best_re), float(cell_re), complex(best_re, best_im))
 
 
-def _rightmost_inside(system, pert, region, edge_rule):
-    """Rightmost column with a node at f >= 1/eps, and its largest-f node there.
+def _rightmost_inside(system, pert, region):
+    """(j, Re, Im): the rightmost column j with a node at f >= 1/eps, and
+    its largest-f node there.
 
-    With edge_rule, an inside node on the right edge raises
-    RegionTooSmallError.  Only the answer column's inside nodes need their
-    f for the argmax; those _place left unevaluated are evaluated here.
+    Only the answer column's inside nodes need their f for the argmax;
+    those _place left unevaluated are evaluated here.
     """
     re, im = region.re_axis(), region.im_axis()
     smin, inside, w = _place(system, pert, re, im, rightmost=True)
-    if edge_rule and inside[:, -1].any():
-        raise RegionTooSmallError("level set reaches the right edge; extend re_max")
     cols = np.nonzero(inside.any(axis=0))[0]
     if not cols.size:
         raise EmptyPseudospectrumError("no grid node reaches the level; "
                                        "enlarge the region or refine the grid")
     j = cols[-1]
     todo = inside[:, j] & np.isnan(smin[:, j])
-    smin[todo, j] = _smallest_singular(system, re[j] + 1j * im[todo])
+    smin[todo, j] = smallest_singular(system, re[j] + 1j * im[todo])
     with np.errstate(divide="ignore"):
         i = int(np.argmax(np.where(inside[:, j], w[j] / smin[:, j], -np.inf)))
-    return re[j], im[i]
+    return j, re[j], im[i]
 
 
 def frequency_bound(system, pert, sigma_min):
@@ -160,17 +149,13 @@ def frequency_bound(system, pert, sigma_min):
     ValueError when sigma_min is so far left that the bound overflows.
     """
     check_pair(system, pert)
-    try:
-        total = pert.epsilon * eval_weight(pert, system, sigma_min)
-        for tau, na in zip(system.delays, system.norms):
-            # floats: an overflowing product is inf, not a numpy warning
-            total += na * math.exp(-sigma_min * tau)
-    except OverflowError:
-        total = math.inf
+    total = delay_bound(system, sigma_min, 0)
+    if math.isfinite(total):  # then no exp(-sigma_min*tau) in w overflows
+        total += pert.epsilon * eval_weight(pert, system, sigma_min)
     if not math.isfinite(total):
         raise ValueError(f"Re lam = {sigma_min!r} is too far left: "
                          "exp(-lam*tau) overflows")
-    return total
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -264,7 +249,7 @@ def _boundary_field(system, pert, re, im):
     for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
         corners[di:di + mixed.shape[0], dj:dj + mixed.shape[1]] |= mixed
     rows, cols = np.nonzero(corners & np.isnan(smin))
-    smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
+    smin[rows, cols] = smallest_singular(system, re[cols] + 1j * im[rows])
     return smin / w[None, :], inside, mixed
 
 
@@ -284,15 +269,12 @@ def _place(system, pert, re, im, rightmost=False):
     """
     shape = (len(im), len(re))
     w = _weight_row(system, pert, re)
-    norms = system.norms
     z0 = complex(re[0] + re[-1], im[0] + im[-1]) / 2
     with np.errstate(over="ignore", invalid="ignore"):  # inf where it overflows
         fp = char_matrix(system, z0, 1)
-        cap = abs(z0 - complex(re[0], im[0])) * sum(  # r * sup ||F''||
-            tau * tau * na * np.exp(-tau * re[0])
-            for tau, na in zip(system.delays, norms))
+        cap = abs(z0 - complex(re[0], im[0])) * delay_bound(system, re[0], 2)
     cap += np.linalg.norm(fp, 2) if np.isfinite(fp).all() else np.inf
-    slack = _MARGIN * (1.0 + sum(norms) + math.hypot(
+    slack = _MARGIN * (1.0 + sum(system.norms) + math.hypot(
         max(abs(re[0]), abs(re[-1])), max(abs(im[0]), abs(im[-1]))))
     smin = np.full(shape, np.nan)  # nan until evaluated
     known = np.zeros(shape, dtype=bool)  # side decided
@@ -301,7 +283,7 @@ def _place(system, pert, re, im, rightmost=False):
 
     def evaluate(mask):
         rows, cols = np.nonzero(mask & live[None, :])
-        s = smin[rows, cols] = _smallest_singular(system, re[cols] + 1j * im[rows])
+        s = smin[rows, cols] = smallest_singular(system, re[cols] + 1j * im[rows])
         with np.errstate(divide="ignore"):
             inside[rows, cols] = (w[cols] / s >= 1.0 / pert.epsilon if rightmost
                                   else s / w[cols] < pert.epsilon)
@@ -315,10 +297,8 @@ def _place(system, pert, re, im, rightmost=False):
         evaluate(on_r[:, None] & on_c[None, :] & ~known)
         gap = smin[near_r[:, None], near_c[None, :]] - pert.epsilon * w[None, :]
         dist = np.hypot((im - im[near_r])[:, None], (re - re[near_c])[None, :])
+        lip = np.minimum(cap, 1.0 + delay_bound(system, np.minimum(re, re[near_c]), 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            low = np.minimum(re, re[near_c])
-            lip = np.minimum(cap, 1.0 + sum(
-                tau * na * np.exp(-tau * low) for tau, na in zip(system.delays, norms)))
             # false where c is unevaluated (nan) and where L overflows
             placed = ~known & (np.abs(gap) > lip[None, :] * dist + slack)
         inside[placed] = gap[placed] < 0.0

@@ -77,7 +77,8 @@ def _newton_roots(system, starts, tol, max_iter):
     """Newton on [F(lam) v; c* v - 1] = 0 from all starts at once; (lam, ok).
 
     Each start runs as if alone: its residual is tested before each of at
-    most max_iter steps, and a singular Jacobian or non-finite lam ends it.
+    most max_iter steps, and a singular Jacobian or a non-finite F or F'
+    (exp overflows far left) ends it.
     The live starts' lam, v and bordered Jacobian carry over from step to
     step, compacted only when some start stops.
     """
@@ -114,13 +115,13 @@ def _newton_roots(system, starts, tol, max_iter):
                     solved[i] = False
         v += step[:, :n]
         lam += step[:, n, 0]
-        keep = solved & np.isfinite(lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_fp = char_matrix(system, lam, (0, 1))
+        keep = solved & np.isfinite(f_fp).all(axis=(0, 2, 3))
+        f, fp = f_fp
         if not keep.all():
             out[live] = lam
-            live, lam, v, jac = [x[keep] for x in (live, lam, v, jac)]
-        # exp overflows at a far-left lam; the non-finite step it gives ends it
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, fp = char_matrix(system, lam, (0, 1))
+            live, lam, v, jac, f, fp = [x[keep] for x in (live, lam, v, jac, f, fp)]
     out[live] = lam
     return out, ok
 
@@ -276,11 +277,6 @@ def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
     return sigma, omega
 
 
-def _check_tol(tol):
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
 def bisect(disc, pert, tol, roots=()):
     """Bracket the discretized pseudospectral abscissa to width tol.
 
@@ -307,10 +303,8 @@ def bisect(disc, pert, tol, roots=()):
     where sigma_lo was proved (a search's omega, or the crossings of the
     eigensolve that set it; one more eigensolve reads the crossings only
     when neither did), and the rounds (one eigensolve each).
-    Raises PredictionError after BISECT_MAX_ITER rounds, and ValueError
-    unless 0 < tol < inf.
+    Raises PredictionError after BISECT_MAX_ITER rounds.
     """
-    _check_tol(tol)
     folded = sorted(dict.fromkeys((r.real, abs(r.imag)) for r in roots),
                     key=lambda r: -r[0])[:3]
     sigma_lo, candidates = -math.inf, {}  # omega -> where its search starts
@@ -385,7 +379,8 @@ def predict(system, pert, N=15, tol=1e-3):
     unless 0 < tol < inf.
     """
     check_pair(system, pert)
-    _check_tol(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     recentered = _RECENTERED.setdefault(system, {})
     if N not in recentered:
         disc = assemble(system, N)

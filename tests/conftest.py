@@ -11,8 +11,8 @@ from delaypsa import (
     numerics,
 )
 from delaypsa.discretization import level_approx, spectral_abscissa_approx
-from delaypsa.model import char_matrix, check_pair
-from delaypsa.oracle import _CHUNK, frequency_bound
+from delaypsa.model import _CHUNK, char_matrix, check_pair
+from delaypsa.oracle import frequency_bound
 from delaypsa.predictor import SpectralAbscissa
 
 
@@ -72,11 +72,26 @@ def _small_batch_plant(rng, n, m):
     return TimeDelaySystem(delays, mats)
 
 
+def _large_norm_plant(rng, n, m):
+    # ROADMAP's large-norm recipe: matrices uniform(-50, 50), delays up to 1
+    mats = tuple(rng.uniform(-50.0, 50.0, (n, n)) for _ in range(m + 1))
+    delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.0, m)))
+    return TimeDelaySystem(delays, mats)
+
+
 def _wide_plant(rng, n, m):
     # the wrong-basin reproducer's recipe (ROADMAP item 1)
     mats = tuple(rng.uniform(-10.0, 10.0, (n, n)) for _ in range(m + 1))
     delays = (0.0,) + tuple(np.sort(rng.uniform(0.01, 3.0, m)))
     return TimeDelaySystem(delays, mats)
+
+
+def far_left_plant():
+    """F(lam) = lam + 400 - 1e-200 exp(-2 lam), unit weights, eps = 0.01:
+    exp(-2 lam) overflows left of Re lam = -354.9, in F (a Newton start of
+    the spectral abscissa goes there) and in w (the Gauss-Newton run does)."""
+    return (TimeDelaySystem((0.0, 2.0), ([[-400.0]], [[1e-200]])),
+            PerturbationSpec((1.0, 1.0), 0.01))
 
 
 def grid_alpha_ref(system, pert, res):

@@ -204,6 +204,17 @@ def test_compute_all_starts_failed_exit_code(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compute_far_left_iterate_exits_two_without_traceback(tmp_path, capsys):
+    # the one Gauss-Newton run walks left until exp(-2 sigma) in w overflows
+    path = write_file(tmp_path, dict(ONE_DELAY, delays=[2.0], A0=[[-400.0]],
+                                     A=[[[1e-200]]], epsilon=0.01))
+    code, out, err = run(capsys, "compute", path)
+    assert code == 2
+    assert "error" in json.loads(out)
+    assert "Traceback" not in err
+
+
 def test_compute_rejects_nonpositive_gn_tol(tmp_path, capsys):
     path = write_file(tmp_path, ONE_DELAY)
     code, out, err = run(capsys, "compute", path, "--gn-tol", "0")

@@ -31,7 +31,7 @@ from delaypsa.predictor import (
     imaginary_axis_frequencies,
 )
 
-from conftest import delay_free
+from conftest import delay_free, far_left_plant
 
 ALPHA_EPS_ONE_DELAY = -0.16516820502210675
 OMEGA_EPS_ONE_DELAY = 1.330240712318655
@@ -368,6 +368,28 @@ def test_gauss_newton_diverged_exit(monkeypatch):
     assert run.iterations == 3
     assert len(run.residual_norms) == 4
     assert np.all(np.diff(run.residual_norms) > 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauss_newton_far_left_iterate_diverges():
+    # the one predicted start walks left until w overflows: that run ends
+    # as diverged, so the solve fails with AllStartsFailedError
+    system, pert = far_left_plant()
+    pred = predict(system, pert, N=15, tol=1e-3)
+    with pytest.raises(AllStartsFailedError):
+        correct(system, pert, pred)
+    (omega,) = pred.frequencies
+    xi, _ = sv_threshold(pert, system, pred.alpha_pred)
+    x0 = start_vector(build_nleig(system, complex(pred.alpha_pred, omega), xi))
+    run = gauss_newton(system, pert,
+                       CorrectorState(x0, float(omega), pred.alpha_pred, x0))
+    assert run.status == "diverged" and not run.converged
+    assert run.state.sigma < -354.9
+    assert len(run.residual_norms) == run.iterations  # none at the last one
+    # a start that is already that far left ends at once
+    run = gauss_newton(system, pert, CorrectorState(x0, 1.0, -1000.0, x0))
+    assert run.status == "diverged" and run.iterations == 0
+    assert run.residual_norms == ()
 
 
 def crossing_prediction(sys, pert, N=15):

@@ -193,6 +193,21 @@ def test_assemble_delay_free_n0():
     assert np.array_equal(disc.state_matrix, a0)
 
 
+@pytest.mark.parametrize("N", [0, 1, 5, 15])
+def test_level_parts_read_d_off_state_matrix(N):
+    # D is not stored: its top N rows, read off A_N's d[i, k] I blocks, are
+    # bit for bit the differentiation matrix of the mesh
+    rng = np.random.default_rng([71, N])
+    systems = [_criterion10_plant(rng, 3, 0)]
+    if N:
+        systems += [_criterion10_plant(rng, 3, 2), _stiff_plant(rng, 2, 1)]
+    for system in systems:
+        disc = assemble(system, N)
+        _, d11, d12, *_ = disc.level_parts
+        want = differentiation_matrix(disc.mesh)[:N].astype(complex)
+        assert np.array_equal(np.column_stack([d11, d12]), want)
+
+
 @pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
                                     _wide_plant])
 def test_reassemble_matches_assemble(recipe):
@@ -211,7 +226,7 @@ def test_reassemble_matches_assemble(recipe):
             want = assemble(shifted, N)
             assert got.state_matrix.tobytes() == want.state_matrix.tobytes()
             assert got.system is shifted
-            assert got.mesh is disc.mesh and got.D is disc.D
+            assert got.mesh is disc.mesh
         assert not disc.state_matrix.flags.writeable
 
 
@@ -273,7 +288,8 @@ def test_rational_exp_converges_fast():
 def test_rational_exp_singular_resolvent():
     # lam at an eigenvalue of the differentiation block is a pole
     sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
-    pole = np.linalg.eigvals(assemble(sys1, 1).D[:1, :1])[0]
+    d = differentiation_matrix(assemble(sys1, 1).mesh)
+    pole = np.linalg.eigvals(d[:1, :1])[0]
     with pytest.raises(SingularResolventError):
         rational_exp(1, 1.0, complex(pole))
 
@@ -314,10 +330,10 @@ def test_char_matrix_approx_matches_uncached_formula(recipe):
         N = int(rng.integers(1, 25))
         disc = assemble(system, N)
         gamma = disc.state_matrix[N * n :].reshape(n, N + 1, n)
+        d = differentiation_matrix(disc.mesh)
         for _ in range(10):
             lam = complex(rng.normal(), 5.0 * rng.normal())
-            c = numerics.solve_complex(lam * np.eye(N) - disc.D[:N, :N],
-                                       disc.D[:N, N])
+            c = numerics.solve_complex(lam * np.eye(N) - d[:N, :N], d[:N, N])
             want = lam * np.eye(n) - gamma[:, N] - c @ gamma[:, :N]
             assert char_matrix_approx(disc, lam).tobytes() == want.tobytes()
 

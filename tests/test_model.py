@@ -13,10 +13,11 @@ from delaypsa import (
     numerics,
     shift_system,
 )
-from delaypsa.model import check_pair
+from delaypsa.model import check_pair, delay_bound
 
 from conftest import (
     _criterion10_plant,
+    _large_norm_plant,
     _small_batch_plant,
     _stiff_plant,
     _wide_plant,
@@ -252,6 +253,31 @@ def test_level_one_delay_hand_value():
 def test_level_infinite_at_root():
     pert = PerturbationSpec((1.0,), 0.1)
     assert eval_level(delay_free(2.0), pert, 2.0) == math.inf
+
+
+@pytest.mark.parametrize("recipe", [_criterion10_plant, _stiff_plant,
+                                    _large_norm_plant])
+def test_delay_bound_matches_inline_sums(recipe):
+    # the three sums the oracle wrote out inline, bit for bit, at a scalar
+    # sigma and elementwise over an array; k = 2 weighs by tau * tau
+    def inline(system, sigma, weight):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(weight(tau) * na * np.exp(-tau * sigma)
+                       for tau, na in zip(system.delays, system.norms))
+
+    weights = (lambda tau: 1.0, lambda tau: tau, lambda tau: tau * tau)
+    for seed in range(20):
+        rng = np.random.default_rng([83, seed])
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+        system = recipe(rng, n, m)
+        sigmas = np.concatenate([rng.uniform(-3.0, 2.0, 30), [-1e6]])
+        for k, weight in enumerate(weights):
+            got = delay_bound(system, sigmas, k)
+            assert got.tobytes() == inline(system, sigmas, weight).tobytes()
+            for s in (float(sigmas[0]), sigmas[1]):
+                assert delay_bound(system, s, k) == inline(system, s, weight)
+            # far left the sum is not finite, and numpy does not warn
+            assert not np.isfinite(got[-1]) or m == 0
 
 
 def test_shift_identity(one_delay, one_delay_pert):

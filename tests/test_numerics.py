@@ -56,6 +56,14 @@ def test_svd_rank_one():
     assert np.all(vals[1:] < 1e-14)
 
 
+@pytest.mark.parametrize("kernel", [numerics.svd_complex, numerics.singular_values])
+@pytest.mark.parametrize("bad", [[1.0, 2.0], 3.0])
+def test_svd_kernels_reject_non_matrix_input(kernel, bad):
+    # bad input is a ValueError, not a convergence failure
+    with pytest.raises(ValueError, match="2-d array"):
+        kernel(bad)
+
+
 def test_svd_vectors_reconstruct():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

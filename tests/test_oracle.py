@@ -13,17 +13,15 @@ from delaypsa import (
     grid_level,
     grid_psa,
 )
-from delaypsa import numerics
+from delaypsa import numerics, oracle
 from delaypsa.discretization import assemble, spectral_abscissa_approx
-from delaypsa.model import char_matrix, check_pair
+from delaypsa.model import _CHUNK, char_matrix, check_pair, smallest_singular
 from delaypsa.oracle import (
     ContourSet,
     EmptyPseudospectrumError,
     GridPsaResult,
     RegionTooSmallError,
-    _CHUNK,
     _boundary_field,
-    _smallest_singular,
     _stitch,
     _weight_row,
     frequency_bound,
@@ -67,6 +65,13 @@ def test_region_rejects_non_integer_counts(n_re, n_im):
 def test_region_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="must be finite"):
         GridRegion(*bounds, 21, 21)
+
+
+@pytest.mark.parametrize("bounds", [("a", 1, 0, 1), (None, 1.0, 0.0, 1.0),
+                                    (-2.0, 1.0, 1j, 2.0), (0, 1, 0, [1])])
+def test_region_rejects_non_number_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds numbers"):
+        GridRegion(*bounds, 5, 5)
 
 
 def test_region_accepts_integer_like_counts():
@@ -140,6 +145,29 @@ def test_grid_psa_right_edge_guard():
     reg = GridRegion(-0.5, 0.2, -0.5, 0.5, 51, 51)
     with pytest.raises(RegionTooSmallError):
         grid_psa(delay_free(0.0), disk_pert(0.25), reg)
+
+
+def test_grid_psa_edge_rule_is_the_main_regions_only(monkeypatch):
+    # eigenvalues 0.45 +- 0.5j of a normal matrix: the level set is two
+    # disks of radius eps.  The main region's last column (Re = 1) misses
+    # them, but its nodes are 1 apart along Im; the first refinement
+    # window's last column is the same line with nodes 0.1 apart, and one
+    # at Im = +-0.5 is inside.  That is not an edge of the region.
+    system = TimeDelaySystem((0.0,), (np.array([[0.45, 0.5], [-0.5, 0.45]]),))
+    columns = []
+    real = oracle._rightmost_inside
+
+    def recorded(system, pert, region):
+        j, re, im = real(system, pert, region)
+        columns.append((j, region.n_re))
+        return j, re, im
+
+    monkeypatch.setattr(oracle, "_rightmost_inside", recorded)
+    res = grid_psa(system, disk_pert(0.72), GridRegion(-1.0, 1.0, 0.0, 1.0, 3, 2))
+    # each window's answer is its last column, one cell right of the last
+    # answer; the rightmost point is 0.45 + 0.72
+    assert columns == [(1, 3)] + [(20, 21)] * 3
+    assert res.value == pytest.approx(1.11) and res.value < 1.17
 
 
 def test_grid_psa_empty_region():
@@ -440,7 +468,7 @@ def full_grid_contours(system, pert, region):
     check_pair(system, pert)
     re = region.re_axis()
     im = region.im_axis()
-    g = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
+    g = (smallest_singular(system, re[None, :] + 1j * im[:, None])
          / _weight_row(system, pert, re)[None, :])
     level = pert.epsilon
     inside = g < level
@@ -625,7 +653,7 @@ def test_boundary_field_is_sound(recipe):
         im = np.linspace(im_min, im_min + rng.uniform(0.5, 4.0),
                          int(rng.integers(20, 90)))
         g, inside, mixed = _boundary_field(system, pert, re, im)
-        full = (_smallest_singular(system, re[None, :] + 1j * im[:, None])
+        full = (smallest_singular(system, re[None, :] + 1j * im[:, None])
                 / _weight_row(system, pert, re)[None, :])
         assert np.array_equal(inside, full < pert.epsilon)
         corners = np.zeros(inside.shape, dtype=bool)
@@ -650,7 +678,9 @@ def test_smallest_singular_matches_char_matrix(recipe):
         pts = rng.uniform(-3.0, 1.0, 12) + 1j * rng.uniform(-5.0, 5.0, 12)
         expect = [numerics.svd_complex(char_matrix(system, p)).values[-1]
                   for p in pts]
-        assert np.array_equal(_smallest_singular(system, pts), expect)
+        assert np.array_equal(smallest_singular(system, pts), expect)
+        # a scalar lam, as eval_level passes, gives the same value
+        assert np.array_equal([smallest_singular(system, p) for p in pts], expect)
 
 
 @pytest.mark.parametrize("recipe, n", [(_criterion10_plant, 4), (_stiff_plant, 6),
@@ -664,10 +694,10 @@ def test_smallest_singular_matches_reference(recipe, n):
     lam = (rng.uniform(-3.0, 1.0, shape[1])[None, :]
            + 1j * rng.uniform(-5.0, 5.0, shape[0])[:, None])
     assert lam.size > step
-    got = _smallest_singular(system, lam)
+    got = smallest_singular(system, lam)
     assert got.shape == shape
     assert np.array_equal(got, smallest_singular_reference(system, lam))
-    assert np.array_equal(_smallest_singular(system, lam[:0]), np.empty((0, shape[1])))
+    assert np.array_equal(smallest_singular(system, lam[:0]), np.empty((0, shape[1])))
 
 
 def test_smallest_singular_peak_memory():
@@ -680,7 +710,7 @@ def test_smallest_singular_peak_memory():
     stack = (_CHUNK // 100) * 100 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        _smallest_singular(system, lam)
+        smallest_singular(system, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

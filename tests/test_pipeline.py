@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delaypsa import (
+    AllStartsFailedError,
     GridRegion,
     PerturbationSpec,
     PredictionResult,
@@ -24,6 +25,7 @@ from conftest import (
     _small_batch_plant,
     _wide_plant,
     delay_free,
+    far_left_plant,
     grid_alpha_ref,
 )
 
@@ -174,11 +176,17 @@ def _large_norm_plant(i):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("plant", [81, 151])
+@pytest.mark.parametrize("plant", [81, 151, "far-left"])
 def test_far_newton_start_does_not_overflow(plant):
-    # at N = 6 a Newton start of these plants walks far left, where its
+    # at N = 6 a Newton start of plants 81 and 151 walks far left, where its
     # residual is finite but squaring it overflows; that start fails and
-    # the answer comes back, left of the shift only with the warning
+    # the answer comes back, left of the shift only with the warning.  On
+    # the far-left plant a start's F overflows at a finite lam, which ends
+    # it; there the one Gauss-Newton run ends far left as well
+    if plant == "far-left":
+        with pytest.raises(AllStartsFailedError):
+            compute_psa(*far_left_plant(), N=15, tol=1e-3)
+        return
     res = compute_psa(*_large_norm_plant(plant), N=6, tol=1e-3)
     assert math.isfinite(res.alpha_eps)
     assert res.alpha_eps >= res.prediction.shift_used or any(
