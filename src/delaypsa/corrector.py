@@ -179,8 +179,8 @@ def gauss_newton(system, pert, start, gn_tol=None):
     met, tested in this order at each iterate: ||r|| <= gn_tol *
     (1 + max ||A_i||_2) (gn_tol defaults to 1e-10), the last step below
     1e-14 relative, three consecutive residual increases, GN_MAX_ITER steps
-    taken, a rank-deficient step; an iterate so far left that w(sigma)
-    overflows is diverged.  A converged run takes one more step from the
+    taken, a rank-deficient step; an iterate so far left that w(sigma) or
+    F overflows is diverged.  A converged run takes one more step from the
     Jacobian of the converged iterate, unless it is rank deficient, so the
     error no longer depends on the start; the returned state is then one
     step past the last of residual_norms (the norms evaluated), and the step
@@ -200,8 +200,9 @@ def gauss_newton(system, pert, start, gn_tol=None):
     norms, grew, stalled, status = [], 0, False, None
     for iterations in range(GN_MAX_ITER + 1):
         try:
-            r, jac = jacobian(system, pert, state)
-        except OverflowError:  # w(sigma) at a sigma far left
+            with np.errstate(over="raise", invalid="raise"):
+                r, jac = jacobian(system, pert, state)
+        except (OverflowError, FloatingPointError):  # w or F far left
             status = "diverged"
             break
         norms.append(float(np.linalg.norm(r)))
@@ -258,7 +259,7 @@ def correct(system, pert, prediction, gn_tol=None):
     largest corrected sigma.  gn_tol is passed to `gauss_newton`.  Raises
     AllStartsFailedError when nothing converges; warns when the correction
     moves further than 10 x the prediction bracket width, or lands left of
-    prediction.shift_used (no rightmost point can: every root is inside).
+    prediction.roots[0], if any (no rightmost point can: roots are inside).
     """
     check_pair(system, pert)
     freqs = np.atleast_1d(np.asarray(prediction.frequencies, dtype=float))
@@ -285,10 +286,10 @@ def correct(system, pert, prediction, gn_tol=None):
             "correction moved more than 10x the prediction bracket width; "
             "consider a smaller predictor tol or a larger mesh order N"
         )
-    if best.sigma < prediction.shift_used:
+    if prediction.roots and best.sigma < prediction.roots[0].real:
         warnings.append(f"corrected abscissa {best.sigma!r} is left of the "
-                        f"spectral abscissa {prediction.shift_used!r}; it is "
-                        "not the rightmost point of the pseudospectrum")
+                        f"spectral abscissa {prediction.roots[0].real!r}; it "
+                        "is not the rightmost point of the pseudospectrum")
     failed = len(outcomes) - len(winners)
     if failed:
         warnings.append(f"{failed} of {len(outcomes)} correction starts did not converge")

@@ -21,10 +21,6 @@ from . import numerics
 from .model import TimeDelaySystem, eval_weight
 
 
-class SingularResolventError(numerics.DelayPsaError):
-    """The interpolation resolvent (lam I - D11) is singular at this lam."""
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Interpolation nodes on [-span, 0], ascending, with barycentric weights."""
@@ -183,23 +179,18 @@ def char_matrix_approx(disc, lam):
     With [Gamma_0 ... Gamma_N] that row, F_N = lam I - Gamma_N - sum_k
     c_k Gamma_k, where (lam I - D11) c = D12 (D11 drops the last mesh row
     and column) gives c_k = p_N(points[k]; lam).  Exact (lam I - A_0) for
-    delay-free systems.  Raises SingularResolventError on a pole.
+    delay-free systems.  Raises numerics.SingularMatrixError at a pole.
     """
     eye_N, d11, d12, eye_n, gamma_N, gamma_rest = disc.level_parts
     lam = complex(lam)
-    try:
-        c = numerics.solve_complex(lam * eye_N - d11, d12)
-    except numerics.SingularMatrixError as exc:
-        raise SingularResolventError(
-            f"lam={lam} is a pole of the rational exponential approximation"
-        ) from exc
+    c = numerics.solve_complex(lam * eye_N - d11, d12)
     return lam * eye_n - gamma_N - c @ gamma_rest
 
 
 def level_approx(disc, pert, sigma, omega):
     """Discretized level function f_N(sigma + j*omega) = w(sigma) / sigma_min(F_N).
 
-    Raises SingularResolventError on a pole of the rational interpolant.
+    Raises numerics.SingularMatrixError at a pole of the interpolant.
     """
     fmat = char_matrix_approx(disc, complex(sigma, omega))
     smin = numerics.svd_complex(fmat).values[-1]

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import numerics
 from .discretization import (
-    SingularResolventError,
     assemble,
     level_approx,
     reassemble,
@@ -74,56 +73,58 @@ class PredictionResult:
 
 
 def _newton_roots(system, starts, tol, max_iter):
-    """Newton on [F(lam) v; c* v - 1] = 0 from all starts at once; (lam, ok).
+    """Newton on [F(lam) v; c* v - 1] = 0 from all starts at once; the
+    converged roots, in start order.
 
     Each start runs as if alone: its residual is tested before each of at
     most max_iter steps, and a singular Jacobian or a non-finite F or F'
-    (exp overflows far left) ends it.
-    The live starts' lam, v and bordered Jacobian carry over from step to
-    step, compacted only when some start stops.
+    (exp overflows far left; at the start too) ends it.  The live starts'
+    lam, v and bordered Jacobian carry over from step to step, compacted
+    only when some start stops; the iteration ends when none is left.
     """
-    n = system.n
-    out = np.array(starts, dtype=complex)
-    ok = np.zeros(out.shape, dtype=bool)
-    live, lam = np.arange(out.size), out.copy()  # the live starts' indices and lam
-    f, fp = char_matrix(system, lam, (0, 1))
-    c = numerics.svd_complex(f, vectors=True).right_h[:, -1:]  # the rows c*
-    v = c.conj().transpose(0, 2, 1)  # the columns v, with c* v = 1 at start
-    jac = np.zeros((lam.size, n + 1, n + 1), dtype=complex)
-    jac[:, n:, :n] = c  # the border row [c*, 0] never changes
-    for _ in range(max_iter):
+    n, roots = system.n, {}  # start index -> converged lam
+    live, lam, keep = np.arange(len(starts)), np.array(starts, dtype=complex), True
+    for k in range(max_iter + 1):  # F and F' at the starts, then per step
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_fp = char_matrix(system, lam, (0, 1))
+        keep &= np.isfinite(f_fp).all(axis=(0, 2, 3))
+        f, fp = f_fp
+        if not keep.all():
+            live, lam, f, fp = [x[keep] for x in (live, lam, f, fp)]
+            if k:
+                v, jac = v[keep], jac[keep]
+        if not live.size or k == max_iter:
+            break
+        if not k:
+            c = numerics.svd_complex(f, vectors=True).right_h[:, -1:]  # rows c*
+            v = c.conj().transpose(0, 2, 1)  # the columns v, with c* v = 1
+            jac = np.zeros((lam.size, n + 1, n + 1), dtype=complex)
+            jac[:, n:, :n] = c  # the border row [c*, 0] never changes
         res = np.concatenate([f @ v, jac[:, n:, :n] @ v - 1.0], axis=1)
         # ||res|| >= max |res_i|, so only rows that can pass are squared: a
         # far-off start's residual is finite, but its square can overflow
         small = np.abs(res[:, :, 0]).max(axis=1) <= tol
         if small.any():
             small[small] = np.linalg.norm(res[small, :, 0], axis=1) <= tol
-            ok[live[small]], out[live], keep = True, lam, ~small
+            roots.update(zip(live[small].tolist(), lam[small].tolist()))
+            keep = ~small
             live, lam, v, jac, f, fp, res = [
                 x[keep] for x in (live, lam, v, jac, f, fp, res)]
             if not live.size:
                 break
         jac[:, :n] = np.concatenate([f, fp @ v], axis=2)
-        try:
-            step, solved = numerics.solve_complex(jac, -res), True
+        try:  # keep: the starts whose step solved
+            step, keep = numerics.solve_complex(jac, -res), True
         except numerics.SingularMatrixError:  # drop only the singular ones
-            step, solved = np.zeros_like(res), np.ones(live.size, dtype=bool)
+            step, keep = np.zeros_like(res), np.ones(live.size, dtype=bool)
             for i in range(live.size):
                 try:
                     step[i] = numerics.solve_complex(jac[i], -res[i])
                 except numerics.SingularMatrixError:
-                    solved[i] = False
+                    keep[i] = False
         v += step[:, :n]
         lam += step[:, n, 0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_fp = char_matrix(system, lam, (0, 1))
-        keep = solved & np.isfinite(f_fp).all(axis=(0, 2, 3))
-        f, fp = f_fp
-        if not keep.all():
-            out[live] = lam
-            live, lam, v, jac, f, fp = [x[keep] for x in (live, lam, v, jac, f, fp)]
-    out[live] = lam
-    return out, ok
+    return [roots[i] for i in sorted(roots)]
 
 
 def spectral_abscissa_exact(system, disc):
@@ -136,10 +137,9 @@ def spectral_abscissa_exact(system, disc):
     to the discretized abscissa, with no roots, if no start converges.
     """
     vals = disc.eigenvalues
-    lams, oks = _newton_roots(system, vals[np.argsort(-vals.real)][:10],
-                              1e-12 * (1.0 + max(system.norms)), max_iter=40)
-    roots = []
-    for lam in lams[oks].tolist():  # deduplicated in start order
+    roots = []  # the converged ones, deduplicated in start order
+    for lam in _newton_roots(system, vals[np.argsort(-vals.real)][:10],
+                             1e-12 * (1.0 + max(system.norms)), max_iter=40):
         if not any(abs(lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
             roots.append(lam)
     if not roots:
@@ -206,31 +206,20 @@ def _narrow(gap, a, ga, b, gb, width):
     return a, ga
 
 
-def _horizontal_search(disc, pert, omega, sigma, sigma_hi, tol):
+def _horizontal_search(gap, omega, sigma, sigma_hi, tol):
     """Rightmost (sigma, omega) proved inside near Im lam = omega, or -inf.
 
-    sigma_min(F_N(sigma + j*omega)) < eps w(sigma) by a 1e-8 relative margin
-    proves that H(sigma) has an imaginary eigenvalue: the transfer-function
-    norm along Re = sigma exceeds 1/(eps w(sigma)) there and decays to 0 at
-    infinite frequency.  A pole of the rational interpolant proves nothing.
-    A local criss-cross with n x n work: find the edge along the horizontal
-    line (to tol/4, below sigma_hi), then the inside interval of the
-    vertical line there (its ends to 1% of its length, or tol), and repeat
-    from its middle until a round gains less than tol/2.  An interval that
-    reaches the real axis is [-u, u], as the set is symmetric (u is found
-    like any end); 0 and u/2 are both tried.  Walks to an edge step
-    max(tol, 1e-3), then double the step, or go 1.25 times as far as the
-    zero of the secant through the last two points when the gap rose and
-    that is farther.  omega is where sigma was proved (the start's on -inf).
+    gap(s, w) < 0 proves s + j*w inside (`bisect`'s level evaluator).
+    A local criss-cross: find the edge along the horizontal line (to tol/4,
+    below sigma_hi), then the inside interval of the vertical line there
+    (its ends to 1% of its length, or tol), and repeat from its middle
+    until a round gains less than tol/2.  An interval that reaches the real
+    axis is [-u, u], as the set is symmetric (u is found like any end); 0
+    and u/2 are both tried.  Walks to an edge step max(tol, 1e-3), then
+    double the step, or go 1.25 times as far as the zero of the secant
+    through the last two points when the gap rose and that is farther.
+    omega is where sigma was proved (the start's on -inf).
     """
-    target = (1.0 - 1e-8) * pert.epsilon
-
-    def gap(s, w):  # negative proves s + j*w inside
-        try:
-            return 1.0 / level_approx(disc, pert, s, w) - target
-        except SingularResolventError:
-            return math.inf
-
     def walk(f, a, fa, sign, stop, f_stop):
         # from a, inside, toward stop: (a, f(a), b, f(b)) at the first
         # point b not proved inside, or at b = stop
@@ -291,13 +280,13 @@ def bisect(disc, pert, tol, roots=()):
     three rightmost eigenvalues of A_N (omega >= 0) and 0.
     Each round moves sigma_lo to the best point `_horizontal_search` proves
     inside near a candidate (each starting at the best point so far, which
-    a later one need only beat); that point is usually within tol of a
-    locally rightmost one.  The round then tests sigma_lo + tol with an
-    eigensolve of `hamiltonian`: no crossings end the search; crossings
-    f_1 < ... < f_k make it sigma_lo, with candidates 0 (the middle of
-    [-f_1, f_1]; the set is symmetric) and (f_i + f_i+1)/2.  A round with
-    no candidate proved inside (poles, tangency) takes the eigensolve
-    bisection step instead.
+    a later one need only beat) with `gap`, the n x n level evaluator built
+    once per call; that point is usually within tol of a locally rightmost
+    one.  The round then tests sigma_lo + tol with an eigensolve of
+    `hamiltonian`: no crossings end the search; crossings f_1 < ... < f_k
+    make it sigma_lo, with candidates 0 (the middle of [-f_1, f_1]; the set
+    is symmetric) and (f_i + f_i+1)/2.  A round with no candidate proved
+    inside (poles, tangency) takes the eigensolve bisection step instead.
     Returns (sigma_lo, sigma_hi, frequencies, iterations) in disc's
     coordinates: sigma_lo proved inside, sigma_hi outside by an eigensolve,
     where sigma_lo was proved (a search's omega, or the crossings of the
@@ -305,6 +294,17 @@ def bisect(disc, pert, tol, roots=()):
     when neither did), and the rounds (one eigensolve each).
     Raises PredictionError after BISECT_MAX_ITER rounds.
     """
+    target = (1.0 - 1e-8) * pert.epsilon  # a 1e-8 relative margin
+
+    def gap(s, w):
+        # < 0 proves s + j*w inside, and so H(s) an imaginary eigenvalue: the
+        # transfer-function norm along Re = s exceeds 1/(eps w(s)) there and
+        # decays to 0 at infinite frequency.  A pole of F_N proves nothing.
+        try:
+            return 1.0 / level_approx(disc, pert, s, w) - target
+        except numerics.SingularMatrixError:
+            return math.inf
+
     folded = sorted(dict.fromkeys((r.real, abs(r.imag)) for r in roots),
                     key=lambda r: -r[0])[:3]
     sigma_lo, candidates = -math.inf, {}  # omega -> where its search starts
@@ -318,8 +318,7 @@ def bisect(disc, pert, tol, roots=()):
                                   f"{tol} in {BISECT_MAX_ITER} iterations")
         best = -math.inf
         for omega, start in candidates.items():  # later ones need only beat best
-            s, w = _horizontal_search(
-                disc, pert, omega, max(start, best), sigma_hi, tol)
+            s, w = _horizontal_search(gap, omega, max(start, best), sigma_hi, tol)
             if s > best:
                 best, best_omega = s, w
         if sigma_lo == -math.inf and not (folded and best >= folded[0][0]):

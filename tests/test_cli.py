@@ -215,6 +215,19 @@ def test_compute_far_left_iterate_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compute_far_left_unperturbed_delay_exits_two_without_traceback(
+        tmp_path, capsys):
+    # w has no delayed term; the Gauss-Newton iterate's F overflows instead
+    path = write_file(tmp_path, dict(ONE_DELAY, delays=[2.0], A0=[[-400.0]],
+                                     A=[[[1e-200]]], weights=[1.0, "inf"],
+                                     epsilon=0.01))
+    code, out, err = run(capsys, "compute", path)
+    assert code == 2
+    assert "error" in json.loads(out)
+    assert "Traceback" not in err
+
+
 def test_compute_rejects_nonpositive_gn_tol(tmp_path, capsys):
     path = write_file(tmp_path, ONE_DELAY)
     code, out, err = run(capsys, "compute", path, "--gn-tol", "0")

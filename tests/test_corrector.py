@@ -392,6 +392,28 @@ def test_gauss_newton_far_left_iterate_diverges():
     assert run.residual_norms == ()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauss_newton_far_left_iterate_diverges_unperturbed_delay():
+    # with the delayed matrix unperturbed w(sigma) has no delayed term, so
+    # it never overflows; the iterate's F does, and that ends the run as
+    # diverged instead of failing the least-squares solve
+    system, pert = far_left_plant()
+    pert = PerturbationSpec((1.0, math.inf), pert.epsilon)
+    pred = predict(system, pert, N=15, tol=1e-3)
+    with pytest.raises(AllStartsFailedError):
+        correct(system, pert, pred)
+    (omega,) = pred.frequencies
+    xi, _ = sv_threshold(pert, system, pred.alpha_pred)
+    x0 = start_vector(build_nleig(system, complex(pred.alpha_pred, omega), xi))
+    run = gauss_newton(system, pert,
+                       CorrectorState(x0, float(omega), pred.alpha_pred, x0))
+    assert run.status == "diverged" and not run.converged
+    assert run.state.sigma < -354.9
+    assert len(run.residual_norms) == run.iterations  # none at the last one
+    run = gauss_newton(system, pert, CorrectorState(x0, 1.0, -1000.0, x0))
+    assert run.status == "diverged" and run.iterations == 0
+
+
 def crossing_prediction(sys, pert, N=15):
     """predict(sys, pert), with its frequencies replaced by the two
     crossings of the level set with Re lam = alpha_pred: two starts."""
@@ -503,6 +525,22 @@ def test_correct_requires_frequencies(one_delay, one_delay_pert):
     )
     with pytest.raises(ValueError, match="frequencies"):
         correct(one_delay, one_delay_pert, empty)
+
+
+def test_left_of_shift_warning_needs_a_root():
+    # the warning compares the answer with the rightmost certified root;
+    # a shift that is no root (the fallback, roots empty) proves nothing
+    sys0 = delay_free(0.0)
+    pert = PerturbationSpec((1.0,), 0.25)
+    pred = dataclasses.replace(predict(sys0, pert, N=0, tol=1e-6),
+                               shift_used=1.0)
+    assert pred.roots and pred.roots[0].real == 0.0
+    assert not any("left of" in w for w in correct(sys0, pert, pred).warnings)
+    for roots in ((), (1.0 + 0.0j,)):
+        res = correct(sys0, pert, dataclasses.replace(pred, roots=roots))
+        left = [w for w in res.warnings if "left of the spectral abscissa" in w]
+        assert len(left) == len(roots)
+        assert not left or "spectral abscissa 1.0;" in left[0]
 
 
 def test_correct_warns_on_large_move():

@@ -12,7 +12,6 @@ from delaypsa import (
     numerics,
 )
 from delaypsa.discretization import (
-    SingularResolventError,
     assemble,
     char_matrix_approx,
     chebyshev_mesh,
@@ -290,7 +289,7 @@ def test_rational_exp_singular_resolvent():
     sys1 = TimeDelaySystem((0.0, 1.0), (np.zeros((1, 1)), np.eye(1)))
     d = differentiation_matrix(assemble(sys1, 1).mesh)
     pole = np.linalg.eigvals(d[:1, :1])[0]
-    with pytest.raises(SingularResolventError):
+    with pytest.raises(numerics.SingularMatrixError):
         rational_exp(1, 1.0, complex(pole))
 
 

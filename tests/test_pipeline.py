@@ -194,6 +194,32 @@ def test_far_newton_start_does_not_overflow(plant):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_far_left_newton_start_dropped_before_any_svd(N):
+    # at N <= 3 a Newton start is the collocation eigenvalue near -800 of
+    # F(lam) = lam + 800, where exp(-lam) in F overflows: that start is
+    # dropped before the first SVD, and the coarse prediction then leaves
+    # no Gauss-Newton start that converges
+    with pytest.raises(AllStartsFailedError):
+        compute_psa(TimeDelaySystem((0.0, 1.0), ([[-800.0]], [[0.0]])),
+                    PerturbationSpec((1.0, 1.0), 0.01), N=N)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fallback_shift_is_not_compared_with_the_answer():
+    # every Newton start fails on F(lam) = lam + 800, so the shift is the
+    # collocation mode -3.5246, which is no root; the answer -11.2756 lies
+    # left of it but right of the only root, -800, and must not warn
+    res = compute_psa(TimeDelaySystem((0.0, 1.0), ([[-800.0]], [[0.0]])),
+                      PerturbationSpec((1.0, 1.0), 0.01), N=15)
+    assert res.prediction.roots == ()
+    assert -800.0 < res.alpha_eps < res.prediction.shift_used
+    alpha = res.alpha_eps  # on the real axis, sigma + 800 = 0.01 (1 + e^-sigma)
+    assert abs(alpha + 800.0 - 0.01 * (1.0 + math.exp(-alpha))) <= 1e-9 * 800.0
+    assert not any("left of the spectral abscissa" in w for w in res.warnings)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_left_newton_start_does_not_overflow_exp():
     # F(lam) = lam + 800: every Newton start steps onto the root -800,
     # where exp(-lam) in F overflows; those starts fail, the shift falls

@@ -9,7 +9,6 @@ import pytest
 from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
 from delaypsa import numerics, predictor
 from delaypsa.discretization import (
-    SingularResolventError,
     assemble,
     level_approx,
     spectral_abscissa_approx,
@@ -83,9 +82,8 @@ def test_abscissa_fallback_when_newton_fails(monkeypatch, one_delay,
         on_a_n.append(np.array_equal(matrix, a_n))
         return eig(matrix)
 
-    monkeypatch.setattr(
-        predictor, "_newton_roots", lambda system, starts, tol, max_iter:
-        (np.array(starts), np.zeros(len(starts), dtype=bool)))
+    monkeypatch.setattr(predictor, "_newton_roots",
+                        lambda system, starts, tol, max_iter: [])
     monkeypatch.setattr(numerics, "eig_real", counted)
     res = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     assert sum(on_a_n) == 1
@@ -115,7 +113,7 @@ def test_abscissa_matches_per_start_reference(recipe):
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
 def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
     # one start's Jacobian is singular, or its first step infinite: that
-    # start ends unconverged and every other start ends as it does alone
+    # start adds no root, and every other start ends as it does alone
     system = _small_batch_plant(np.random.default_rng(7), 2, 2)
     vals = assemble(system, 15).eigenvalues
     starts = vals[np.argsort(-vals.real)][:10]
@@ -137,15 +135,29 @@ def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
         return x
 
     monkeypatch.setattr(numerics, "solve_complex", failing)
-    lam, ok = predictor._newton_roots(system, starts, tol, 40)
-    assert not ok[bad]
-    assert (lam[bad] == starts[bad]) if failure == "singular" else (
-        not np.isfinite(lam[bad]))
-    for k, (lam_k, ok_k) in enumerate(want):
-        if k != bad:
-            assert ok[k] == ok_k
-            assert not ok_k or abs(lam[k] - lam_k) <= 1e-15 * abs(lam_k)
-    assert sum(ok) == sum(ok_k for _, ok_k in want) - 1
+    got = predictor._newton_roots(system, starts, tol, 40)
+    others = [lam_k for k, (lam_k, ok_k) in enumerate(want) if ok_k and k != bad]
+    assert len(got) == len(others) == sum(ok_k for _, ok_k in want) - 1
+    for lam, lam_k in zip(got, others):  # in start order
+        assert abs(lam - lam_k) <= 1e-15 * abs(lam_k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_stops_when_no_start_is_left(monkeypatch):
+    # F(lam) = lam + 800: every start steps onto -800, where exp(-lam) in F
+    # overflows, so each ends within a step; the empty stack then ends the
+    # iteration (stepping on to the 40-step budget made 41 calls)
+    calls = []
+
+    def counted(system, lam, k=0):
+        calls.append(np.size(lam))
+        return char_matrix(system, lam, k)
+
+    monkeypatch.setattr(predictor, "char_matrix", counted)
+    res = predict(TimeDelaySystem((0.0, 1.0), ([[-800.0]], [[0.0]])),
+                  PerturbationSpec((1.0, 1.0), 0.01), N=15)
+    assert res.roots == ()
+    assert 1 <= len(calls) <= 2 and all(calls)  # none on an empty stack
 
 
 def test_abscissa_roots_actually_solve(one_delay):
@@ -484,6 +496,31 @@ def test_predict_keeps_no_system_alive():
 # --- horizontal search -----------------------------------------------------
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("c, r, start", [(0.3 + 2.0j, 0.5, 0.1 + 1.8j),
+                                         (-1.0, 0.7, -1.2 + 0.3j)])
+def test_horizontal_search_finds_disk_edge(c, r, start, tol):
+    # the level evaluator of a disk, |lam - c| - r, with no discretization:
+    # the rightmost point is c + r, off the axis or, for c = -1, on it
+    # (the vertical interval there reaches the real axis: [-u, u])
+    def gap(s, w):
+        return abs(complex(s, w) - c) - r
+
+    sigma, omega = predictor._horizontal_search(
+        gap, start.imag, start.real, math.inf, tol)
+    assert c.real + r - 0.25 * tol <= sigma < c.real + r
+    assert gap(sigma, omega) < 0.0  # proved inside where it says
+    assert abs(omega - c.imag) <= math.sqrt(r * tol)
+
+
+def test_horizontal_search_outside_start():
+    def gap(s, w):  # the disk |lam - 1| < 0.5
+        return abs(complex(s, w) - 1.0) - 0.5
+
+    assert predictor._horizontal_search(gap, 2.0, 0.0, math.inf, 1e-3) == (
+        -math.inf, 2.0)
+
+
 @pytest.mark.parametrize("N", [4, 6, 15, 20])
 @pytest.mark.parametrize("recipe", [_criterion10_plant, _wide_plant,
                                     _stiff_plant])
@@ -498,10 +535,15 @@ def test_certificate_implies_crossings(monkeypatch, recipe, N):
     # (stiff plant, N = 20: omega 0.3937090 proved inside, crossings
     # 0.3937172 and 0.3937190)
     search = predictor._horizontal_search
-    checked = []
+    checked, problem = [], []  # problem: the (disc, pert) bisect was given
 
-    def cross_checked(disc, pert, *args):
-        sigma, omega = search(disc, pert, *args)
+    def recorded(disc, pert, *args):
+        problem[:] = disc, pert
+        return bisect(disc, pert, *args)
+
+    def cross_checked(gap, *args):
+        sigma, omega = search(gap, *args)
+        disc, pert = problem
         if sigma > -math.inf:
             freqs = imaginary_axis_frequencies(hamiltonian(disc, pert, sigma))
             proved = (1.0 / level_approx(disc, pert, sigma, omega)
@@ -509,6 +551,7 @@ def test_certificate_implies_crossings(monkeypatch, recipe, N):
             checked.append((sigma, omega, freqs.size, proved))
         return sigma, omega
 
+    monkeypatch.setattr(predictor, "bisect", recorded)
     monkeypatch.setattr(predictor, "_horizontal_search", cross_checked)
     for seed in range(4):
         rng = np.random.default_rng([N, seed])
@@ -597,7 +640,7 @@ def test_bisect_matches_reference_on_poles(monkeypatch, one_delay,
 
     def on_pole(*args):
         poles.append(args)
-        raise SingularResolventError("pole")
+        raise numerics.SingularMatrixError("pole")
 
     def counted(ham):
         solves.append(1)
