@@ -73,8 +73,7 @@ def start_vector(nleig_matrix):
     The entry of largest magnitude is rotated to the positive real axis so
     reruns produce the same anchor.
     """
-    sv = numerics.svd_complex(nleig_matrix, vectors=True)
-    x = sv.right_h[-1].conj()
+    x = numerics.svd_complex(nleig_matrix, vectors=True)[2][-1].conj()
     k = int(np.argmax(np.abs(x)))
     phase = x[k] / abs(x[k])
     x = x / phase
@@ -171,13 +170,21 @@ class GaussNewtonResult:
     residual_norms: tuple
 
 
+def gn_tolerance(gn_tol):
+    """gn_tol as a float (1e-10 for None); ValueError unless 0 < gn_tol < inf."""
+    gn_tol = 1e-10 if gn_tol is None else float(gn_tol)
+    if not 0.0 < gn_tol < math.inf:
+        raise ValueError(f"gn_tol must be positive and finite, got {gn_tol!r}")
+    return gn_tol
+
+
 def gauss_newton(system, pert, start, gn_tol=None):
     """Solve the extremality system from a CorrectorState start.
 
     Full-step Gauss-Newton through a dense least-squares solve, with one
     `jacobian` linearization per iteration.  status records the first exit
     met, tested in this order at each iterate: ||r|| <= gn_tol *
-    (1 + max ||A_i||_2) (gn_tol defaults to 1e-10), the last step below
+    (1 + max ||A_i||_2) (`gn_tolerance`), the last step below
     1e-14 relative, three consecutive residual increases, GN_MAX_ITER steps
     taken, a rank-deficient step; an iterate so far left that w(sigma) or
     F overflows is diverged.  A converged run takes one more step from the
@@ -185,7 +192,7 @@ def gauss_newton(system, pert, start, gn_tol=None):
     error no longer depends on the start; the returned state is then one
     step past the last of residual_norms (the norms evaluated), and the step
     is not counted in iterations.  The result is also `correct`'s per-start
-    record.  Raises ValueError unless 0 < gn_tol < inf.
+    record.  Raises ValueError unless gn_tol passes `gn_tolerance`.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -193,10 +200,7 @@ def gauss_newton(system, pert, start, gn_tol=None):
         sigma=float(start.sigma),
         anchor=start.anchor.astype(complex),
     )
-    gn_tol = 1e-10 if gn_tol is None else float(gn_tol)
-    if not 0.0 < gn_tol < math.inf:
-        raise ValueError(f"gn_tol must be positive and finite, got {gn_tol!r}")
-    threshold = gn_tol * (1.0 + max(system.norms))
+    threshold = gn_tolerance(gn_tol) * (1.0 + max(system.norms))
     norms, grew, stalled, status = [], 0, False, None
     for iterations in range(GN_MAX_ITER + 1):
         try:
@@ -256,12 +260,13 @@ def correct(system, pert, prediction, gn_tol=None):
     vectors are the smallest singular vectors of the doubled matrix at
     lam = alpha_pred + j*omega_i; each converged run lands on an extremal point
     of the pseudospectrum boundary, and the corrected abscissa is the
-    largest corrected sigma.  gn_tol is passed to `gauss_newton`.  Raises
+    largest corrected sigma.  gn_tol passes `gn_tolerance` first.  Raises
     AllStartsFailedError when nothing converges; warns when the correction
     moves further than 10 x the prediction bracket width, or lands left of
     prediction.roots[0], if any (no rightmost point can: roots are inside).
     """
     check_pair(system, pert)
+    gn_tol = gn_tolerance(gn_tol)
     freqs = np.atleast_1d(np.asarray(prediction.frequencies, dtype=float))
     if freqs.size == 0:
         raise ValueError("prediction carries no frequencies to correct")

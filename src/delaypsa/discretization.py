@@ -7,18 +7,19 @@ the inverse characteristic matrix F_N(lam)^{-1} of the system with each
 exp(-lam*tau) replaced by a rational interpolant p_N(-tau; lam).  The
 rational approximation is spectrally accurate near the origin, so the
 rightmost eigenvalues of A_N approximate the rightmost characteristic roots.
+`char_matrix_approx` gives F_N(lam) itself, and `mesh_order` owns the rule for N.
 """
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import numerics
-from .model import TimeDelaySystem, eval_weight
+from .model import TimeDelaySystem
 
 
 @dataclass(frozen=True)
@@ -130,23 +131,26 @@ class Discretization:
                 gamma[:, :N].astype(complex))
 
 
+def mesh_order(system, N):
+    """N as an int; ValueError unless N >= 1, or N = 0 for a delay-free system."""
+    if not isinstance(N, numbers.Integral):
+        raise ValueError(f"invalid N: must be an integer, got {N!r}")
+    if N < 0 or (N == 0 and system.m):
+        raise ValueError(f"invalid N: must be >= 1 (or 0 if delay-free), got {N}")
+    return int(N)
+
+
 def assemble(system, N):
     """Build the collocation matrix A_N for a system at mesh order N.
 
     The top N block rows replicate the differentiation matrix (d[i, k] I);
     the bottom block row [Gamma_0 ... Gamma_N] has Gamma_k = sum_i
     l_k(-tau_i) A_i plus A_0 at k = N, splicing the derivative condition at
-    0 into the mesh.  N is an integer.  Delay-free systems admit N = 0
-    (A_N = A_0); for m >= 1 the mesh spans [-tau_max, 0].
+    0 into the mesh.  N is checked by `mesh_order`; delay-free systems
+    admit N = 0 (A_N = A_0), and for m >= 1 the mesh spans [-tau_max, 0].
     """
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise ValueError(f"invalid N: must be an integer, got {N!r}") from None
-    n = system.n
+    N, n = mesh_order(system, N), system.n
     if N == 0:
-        if system.m != 0:
-            raise ValueError("invalid N: N = 0 is only valid for delay-free systems")
         mesh = Mesh(np.zeros(1), np.ones(1))
     else:
         # delay-free systems carry the mesh on a dummy unit interval; the
@@ -185,17 +189,6 @@ def char_matrix_approx(disc, lam):
     lam = complex(lam)
     c = numerics.solve_complex(lam * eye_N - d11, d12)
     return lam * eye_n - gamma_N - c @ gamma_rest
-
-
-def level_approx(disc, pert, sigma, omega):
-    """Discretized level function f_N(sigma + j*omega) = w(sigma) / sigma_min(F_N).
-
-    Raises numerics.SingularMatrixError at a pole of the interpolant.
-    """
-    fmat = char_matrix_approx(disc, complex(sigma, omega))
-    smin = numerics.svd_complex(fmat).values[-1]
-    with np.errstate(divide="ignore"):  # +inf at a root of F_N
-        return eval_weight(pert, disc.system, sigma) / smin
 
 
 def spectral_abscissa_approx(disc):

@@ -2,8 +2,8 @@
 
 Thin wrappers around LAPACK via numpy.linalg that normalize error handling
 for the rest of the package: singular solves, rank-deficient least squares
-and non-converged eigensolves surface as typed exceptions instead of
-numpy's generic LinAlgError.  Everything is dense and double precision.
+and non-converged eigen- or singular value solves raise typed exceptions;
+results are numpy's own arrays.  Everything is dense and double precision.
 `singular_values` runs stacks of over _PIECE matrices in pieces on a thread
 pool, one worker per usable CPU; each matrix is one LAPACK call either way, so
 results are bit for bit the same for any CPU count (BLAS threads are separate).
@@ -14,7 +14,6 @@ lives here because this module imports nothing else from the package.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +46,6 @@ class RankDeficientError(DelayPsaError):
         self.needed = needed
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    values: np.ndarray  # descending, nonnegative
-    left: np.ndarray | None = None
-    right_h: np.ndarray | None = None
-
-
 def eig_real(matrix):
     """Eigenvalues of a real square matrix.
 
@@ -77,16 +69,12 @@ def _stack(matrix):  # both SVD kernels' input check
 
 
 def svd_complex(matrix, vectors=False):
-    """SVD of a complex (or real) matrix, or of each matrix of a stack."""
+    """Singular values of a matrix or stack; with vectors, numpy's (u, s, vh) tuple."""
     a = _stack(matrix)
     try:
-        if vectors:
-            u, s, vh = np.linalg.svd(a)
-            return SvdResult(s, u, vh)
-        s = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a) if vectors else np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return SvdResult(s)
 
 
 def singular_values(stack):

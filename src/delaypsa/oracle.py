@@ -20,6 +20,7 @@ answer column.  grid_level evaluates every node.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -99,12 +100,14 @@ def grid_psa(system, pert, region, refine_iters=3):
     """Rightmost grid node inside the pseudospectrum, with local refinement.
 
     Finds max Re lam over nodes with f >= 1/eps, then re-grids a one-cell
-    window around the maximizer at 10x resolution, refine_iters times.  The
-    right edge of the region must stay outside the level set, otherwise the
-    region cannot contain the rightmost point and RegionTooSmallError is
-    raised.  Reported resolution is the final cell width along Re.  Nodes
-    are placed by _place, so few are evaluated.
+    window around the maximizer at 10x resolution, refine_iters (an integer
+    >= 0, else ValueError) times.  The right edge of the region must stay
+    outside the level set, or RegionTooSmallError is raised: the region
+    cannot contain the rightmost point.  Reported resolution is the final
+    cell width along Re.  Nodes are placed by _place, so few are evaluated.
     """
+    if not isinstance(refine_iters, numbers.Integral) or refine_iters < 0:
+        raise ValueError(f"refine_iters must be an integer >= 0, got {refine_iters!r}")
     frequency_bound(system, pert, region.re_min)
     j, best_re, best_im = _rightmost_inside(system, pert, region)
     if j == region.n_re - 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrector import CorrectionResult, correct
+from .corrector import CorrectionResult, correct, gn_tolerance
 from .predictor import PredictionResult, predict
 
 
@@ -32,6 +32,7 @@ def compute_psa(system, pert, N=15, tol=1e-3, gn_tol=None):
     (predictor.BISECT_MAX_ITER, corrector.GN_MAX_ITER).  Returns a
     PsaResult; raises corrector.AllStartsFailedError when no start converges.
     """
+    gn_tol = gn_tolerance(gn_tol)
     prediction = predict(system, pert, N=N, tol=tol)
     correction = correct(system, pert, prediction, gn_tol=gn_tol)
     return PsaResult(

@@ -28,7 +28,8 @@ import numpy as np
 from . import numerics
 from .discretization import (
     assemble,
-    level_approx,
+    char_matrix_approx,
+    mesh_order,
     reassemble,
     spectral_abscissa_approx,
 )
@@ -96,7 +97,7 @@ def _newton_roots(system, starts, tol, max_iter):
         if not live.size or k == max_iter:
             break
         if not k:
-            c = numerics.svd_complex(f, vectors=True).right_h[:, -1:]  # rows c*
+            c = numerics.svd_complex(f, vectors=True)[2][:, -1:]  # rows c*
             v = c.conj().transpose(0, 2, 1)  # the columns v, with c* v = 1
             jac = np.zeros((lam.size, n + 1, n + 1), dtype=complex)
             jac[:, n:, :n] = c  # the border row [c*, 0] never changes
@@ -297,13 +298,14 @@ def bisect(disc, pert, tol, roots=()):
     target = (1.0 - 1e-8) * pert.epsilon  # a 1e-8 relative margin
 
     def gap(s, w):
-        # < 0 proves s + j*w inside, and so H(s) an imaginary eigenvalue: the
-        # transfer-function norm along Re = s exceeds 1/(eps w(s)) there and
-        # decays to 0 at infinite frequency.  A pole of F_N proves nothing.
+        # sigma_min(F_N)/w(s) < target at s + j*w proves that point inside and
+        # an imaginary eigenvalue of H(s): 1/sigma_min(F_N) along Re = s exceeds
+        # 1/(eps w(s)) there and decays to 0 at infinity.  Poles prove nothing.
         try:
-            return 1.0 / level_approx(disc, pert, s, w) - target
+            smin = numerics.svd_complex(char_matrix_approx(disc, complex(s, w)))[-1]
         except numerics.SingularMatrixError:
             return math.inf
+        return smin / eval_weight(pert, disc.system, s) - target
 
     folded = sorted(dict.fromkeys((r.real, abs(r.imag)) for r in roots),
                     key=lambda r: -r[0])[:3]
@@ -374,12 +376,13 @@ def predict(system, pert, N=15, tol=1e-3):
     is the discretized abscissa.  The recentering (one assembly and one
     eigensolve of A_N; `reassemble` gives the recentered A_N) depends only
     on the system and N: it runs on the first call for a system object and
-    N, and later calls reuse it.  Raises ValueError, before any assembly,
-    unless 0 < tol < inf.
+    N, and later calls reuse it.  Raises ValueError, before any assembly or
+    cache lookup, unless 0 < tol < inf and N passes `mesh_order`.
     """
     check_pair(system, pert)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    N = mesh_order(system, N)
     recentered = _RECENTERED.setdefault(system, {})
     if N not in recentered:
         disc = assemble(system, N)

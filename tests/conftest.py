@@ -10,8 +10,8 @@ from delaypsa import (
     grid_psa,
     numerics,
 )
-from delaypsa.discretization import level_approx, spectral_abscissa_approx
-from delaypsa.model import _CHUNK, char_matrix, check_pair
+from delaypsa.discretization import char_matrix_approx, spectral_abscissa_approx
+from delaypsa.model import _CHUNK, char_matrix, check_pair, eval_weight
 from delaypsa.oracle import frequency_bound
 from delaypsa.predictor import SpectralAbscissa
 
@@ -116,8 +116,7 @@ def newton_root(system, lam0, tol, max_iter):
     """Newton iteration on [F(lam) v; c* v - 1] = 0 from a starting guess."""
     n = system.n
     f = char_matrix(system, lam0)
-    sv = numerics.svd_complex(f, vectors=True)
-    v = sv.right_h[-1].conj()
+    v = numerics.svd_complex(f, vectors=True)[2][-1].conj()
     c = v.copy()
     lam = complex(lam0)
     for _ in range(max_iter):
@@ -217,6 +216,13 @@ def transfer_function(disc, lam):
     b = input_matrix(disc)
     x = numerics.solve_complex(lam * np.eye(dim) - disc.state_matrix, b)
     return b.T @ x
+
+
+def level_approx(disc, pert, sigma, omega):
+    """Discretized level f_N(sigma + j*omega) = w(sigma) / sigma_min(F_N)."""
+    smin = numerics.svd_complex(char_matrix_approx(disc, complex(sigma, omega)))[-1]
+    with np.errstate(divide="ignore"):  # +inf at a root of F_N
+        return eval_weight(pert, disc.system, sigma) / smin
 
 
 def level_sup_profile(disc, pert, sigmas, omega_max, n_omega=400):

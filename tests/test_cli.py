@@ -396,6 +396,17 @@ def test_oracle_non_finite_bound_exits_one(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_oracle_rejects_negative_refine(tmp_path, capsys):
+    path = write_file(tmp_path, DISK)
+    code, out, err = run(
+        capsys, "oracle", path, "--refine", "-1",
+        "--re-min", "-0.5", "--re-max", "0.5",
+        "--im-min", "-0.5", "--im-max", "0.5",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "refine_iters" in err
+
+
 def test_oracle_region_too_small_exit(tmp_path, capsys):
     path = write_file(tmp_path, DISK)
     code, _, err = run(

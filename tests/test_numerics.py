@@ -37,11 +37,11 @@ def test_eig_rejects_nonsquare():
 
 
 def test_svd_identity():
-    assert np.allclose(numerics.svd_complex(np.eye(4)).values, 1.0)
+    assert np.allclose(numerics.svd_complex(np.eye(4)), 1.0)
 
 
 def test_svd_complex_diagonal_moduli():
-    vals = numerics.svd_complex(np.diag([3.0, 4.0j])).values
+    vals = numerics.svd_complex(np.diag([3.0, 4.0j]))
     assert np.allclose(vals, [4.0, 3.0])  # sorted descending
 
 
@@ -51,7 +51,7 @@ def test_svd_rank_one():
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    vals = numerics.svd_complex(np.outer(u, v.conj())).values
+    vals = numerics.svd_complex(np.outer(u, v.conj()))
     assert abs(vals[0] - 1.0) < 1e-14
     assert np.all(vals[1:] < 1e-14)
 
@@ -67,8 +67,8 @@ def test_svd_kernels_reject_non_matrix_input(kernel, bad):
 def test_svd_vectors_reconstruct():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    sv = numerics.svd_complex(a, vectors=True)
-    back = sv.left @ np.diag(sv.values) @ sv.right_h
+    u, s, vh = numerics.svd_complex(a, vectors=True)
+    back = u @ np.diag(s) @ vh
     assert np.max(np.abs(a - back)) < 1e-13
 
 
@@ -77,7 +77,7 @@ def test_batched_singular_values_match_loop():
     stack = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
     batched = numerics.singular_values(stack)
     for k in range(8):
-        assert np.allclose(batched[k], numerics.svd_complex(stack[k]).values)
+        assert np.allclose(batched[k], numerics.svd_complex(stack[k]))
 
 
 def _random_stack(rng, shape):
@@ -207,11 +207,11 @@ def test_split_sweep_in_forked_child(monkeypatch):
 def test_svd_stack_matches_loop():
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    batched = numerics.svd_complex(stack, vectors=True)
+    _, values, right_h = numerics.svd_complex(stack, vectors=True)
     for k in range(4):
-        one = numerics.svd_complex(stack[k], vectors=True)
-        assert np.array_equal(batched.values[k], one.values)
-        assert np.array_equal(batched.right_h[k], one.right_h)
+        _, one_values, one_right_h = numerics.svd_complex(stack[k], vectors=True)
+        assert np.array_equal(values[k], one_values)
+        assert np.array_equal(right_h[k], one_right_h)
 
 
 def test_solve_identity():

@@ -130,6 +130,20 @@ def test_grid_psa_refinement_tightens():
     res = grid_psa(delay_free(0.0), disk_pert(0.25), reg, refine_iters=3)
     assert res.resolution == pytest.approx(0.01 / 1000.0)
     assert abs(res.value - 0.25) < 2.0 * res.resolution
+    assert grid_psa(delay_free(0.0), disk_pert(0.25), reg,
+                    refine_iters=np.int64(3)) == res
+
+
+@pytest.mark.parametrize("refine", [-2, -1, 2.5, "3", None])
+def test_grid_psa_rejects_bad_refine_iters(monkeypatch, refine):
+    # -2 once returned the unrefined answer and 2.5 raised TypeError; both
+    # are bad input, rejected before any sigma_min is evaluated
+    calls = []
+    monkeypatch.setattr(oracle, "smallest_singular", lambda *a: calls.append(a))
+    reg = GridRegion(-0.5, 0.5, -0.5, 0.5, 101, 101)
+    with pytest.raises(ValueError, match="refine_iters"):
+        grid_psa(delay_free(0.0), disk_pert(0.25), reg, refine_iters=refine)
+    assert calls == []
 
 
 def test_grid_psa_normal_matrix_union_of_disks():
@@ -676,7 +690,7 @@ def test_smallest_singular_matches_char_matrix(recipe):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         system = recipe(rng, n, m)
         pts = rng.uniform(-3.0, 1.0, 12) + 1j * rng.uniform(-5.0, 5.0, 12)
-        expect = [numerics.svd_complex(char_matrix(system, p)).values[-1]
+        expect = [numerics.svd_complex(char_matrix(system, p))[-1]
                   for p in pts]
         assert np.array_equal(smallest_singular(system, pts), expect)
         # a scalar lam, as eval_level passes, gives the same value

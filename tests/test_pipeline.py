@@ -19,6 +19,7 @@ from delaypsa import (
     predict,
     shift_system,
 )
+from delaypsa import corrector, predictor
 
 from conftest import (
     _criterion10_plant,
@@ -52,6 +53,32 @@ def test_mismatched_pair_raises_value_error(name, one_delay):
     # the model helpers reject it through their strict loops
     with pytest.raises(ValueError):
         ENTRY_POINTS[name](one_delay, PerturbationSpec((1.0,), 0.1))
+
+
+@pytest.mark.parametrize("gn_tol", [-1.0, math.nan, 0.0])
+def test_bad_gn_tol_rejected_before_any_work(monkeypatch, gn_tol):
+    # a fresh plant, so compute_psa would assemble before bisecting; a
+    # rejected gn_tol stops compute_psa before the prediction and correct
+    # before its first start vector
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name)
+                            or real(*a, **k))
+
+    system = _small_batch_plant(np.random.default_rng(5), 2, 2)
+    pert = PerturbationSpec((1.0,) * 3, 0.1)
+    prediction = predict(system, pert)
+    for module, name in ((predictor, "assemble"), (predictor, "bisect"),
+                         (corrector, "start_vector")):
+        count(module, name)
+    with pytest.raises(ValueError, match="gn_tol"):
+        compute_psa(TimeDelaySystem(system.delays, system.matrices), pert,
+                    gn_tol=gn_tol)
+    with pytest.raises(ValueError, match="gn_tol"):
+        correct(system, pert, prediction, gn_tol=gn_tol)
+    assert calls == []
 
 
 def test_compute_composes_predict_and_correct(one_delay, one_delay_pert):

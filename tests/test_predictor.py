@@ -6,13 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from delaypsa import PerturbationSpec, TimeDelaySystem, eval_weight, predict
+from delaypsa import (PerturbationSpec, TimeDelaySystem, compute_psa,
+                      eval_weight, predict)
 from delaypsa import numerics, predictor
-from delaypsa.discretization import (
-    assemble,
-    level_approx,
-    spectral_abscissa_approx,
-)
+from delaypsa.discretization import assemble, spectral_abscissa_approx
 from delaypsa.model import char_matrix, shift_system
 from delaypsa.numerics import svd_complex
 from delaypsa.predictor import (
@@ -30,6 +27,7 @@ from conftest import (
     _wide_plant,
     delay_free,
     input_matrix,
+    level_approx,
     newton_root,
     spectral_abscissa_reference,
 )
@@ -122,7 +120,7 @@ def test_newton_failed_start_leaves_the_others(monkeypatch, failure):
     bad = next(k for k, (_, ok) in enumerate(want)  # one that takes a step
                if ok and not newton_root(system, starts[k], tol, 1)[1])
     anchor = svd_complex(char_matrix(system, starts[bad]),
-                         vectors=True).right_h[-1]  # its row c*
+                         vectors=True)[2][-1]  # its row c*
     solve, n = numerics.solve_complex, system.n
 
     def failing(a, b):
@@ -228,7 +226,7 @@ def test_frequencies_match_singular_value_crossings(one_delay, one_delay_pert):
         resolvent = np.linalg.solve(
             1j * omega * np.eye(n_big) - shifted_state, input_matrix(disc)
         )
-        gvals = svd_complex(input_matrix(disc).T @ resolvent).values
+        gvals = svd_complex(input_matrix(disc).T @ resolvent)
         assert np.min(np.abs(gvals - target)) < 1e-6 * target
 
 
@@ -245,7 +243,7 @@ def test_frequencies_match_dense_level_scan(one_delay, one_delay_pert):
     level = shifted_pert.epsilon * w
     omegas = np.linspace(0.0, 4.0, 4001)
     smin = np.array([
-        svd_complex(char_matrix_approx(disc, sigma + 1j * om)).values[-1]
+        svd_complex(char_matrix_approx(disc, sigma + 1j * om))[-1]
         for om in omegas
     ])
     below = smin < level
@@ -280,6 +278,56 @@ def test_bisect_hands_back_omega_without_gain(monkeypatch):
     assert (sigma_lo, len(calls)) == (0.0, 1)
     assert sigma_lo <= 1e-4 <= sigma_hi
     assert np.array_equal(freqs, [0.0])
+
+
+def _scripted_bisect(monkeypatch, searches, crossings, tol):
+    """bisect on a small plant, with each _horizontal_search call answered
+    by searches(sigma_hi) and each test-matrix eigensolve by the next entry
+    of crossings; returns bisect's result, or its exception, and the number
+    of eigensolves."""
+    solves = []
+
+    def search(gap, omega, sigma, sigma_hi, tol):
+        return searches(sigma_hi), omega
+
+    def eigensolve(ham):
+        solves.append(1)
+        return np.array(crossings[len(solves) - 1])
+
+    monkeypatch.setattr(predictor, "_horizontal_search", search)
+    monkeypatch.setattr(predictor, "imaginary_axis_frequencies", eigensolve)
+    disc = assemble(_small_batch_plant(np.random.default_rng(4), 2, 1), 6)
+    try:
+        return bisect(disc, PerturbationSpec((1.0, 1.0), 0.1), tol), len(solves)
+    except PredictionError as exc:
+        return exc, len(solves)
+
+
+def test_bisect_stops_when_a_search_lands_within_tol_of_sigma_hi(monkeypatch):
+    # two rounds prove nothing by search; the first eigensolve has crossings
+    # and the second none, so sigma_hi is 4 tol right of sigma_lo; then a
+    # search proves sigma_hi - tol/2 inside, which closes the bracket with
+    # no third eigensolve
+    tol = 1e-3
+
+    def searches(sigma_hi):
+        return sigma_hi - 0.5 * tol if math.isfinite(sigma_hi) else -math.inf
+
+    (sigma_lo, sigma_hi, freqs, iterations), solves = _scripted_bisect(
+        monkeypatch, searches, [[0.7], []], tol)
+    assert (iterations, solves) == (2, 2)
+    assert math.isfinite(sigma_hi) and sigma_lo == sigma_hi - 0.5 * tol
+    assert freqs.tolist() == [0.0]  # the search's omega, from the candidates
+
+
+def test_bisect_without_any_crossings_raises(monkeypatch):
+    # no search proves a point inside and no eigensolve finds crossings, so
+    # the final lower end has no frequency to hand the corrector
+    result, solves = _scripted_bisect(
+        monkeypatch, lambda sigma_hi: -math.inf, [[]] * 100, 1e-3)
+    assert isinstance(result, PredictionError)
+    assert "no boundary frequencies" in str(result)
+    assert solves >= 3  # the rounds, then one more for the crossings
 
 
 def test_bisect_respects_budget():
@@ -483,6 +531,23 @@ def test_predict_new_mesh_order_misses(monkeypatch):
     assert len(abscissas) == 2
 
 
+def test_predict_checks_mesh_order_before_the_cache(monkeypatch):
+    # 15.0 == 15 as a key of the recentring cache, so a warm system once
+    # returned an answer for N = 15.0; an integer N such as np.int64(15)
+    # still hits the cache
+    system = _criterion10_plant(np.random.default_rng(3), 3, 2)
+    pert = PerturbationSpec((1.0,) * 3, 0.05)
+    assemblies = _count_calls(monkeypatch, "assemble")
+    want = predict(system, pert, N=15, tol=1e-4)
+    for N in (15.0, 2.5, -1, 0):
+        with pytest.raises(ValueError, match="^invalid N"):
+            predict(system, pert, N=N, tol=1e-4)
+    with pytest.raises(ValueError, match="^invalid N"):
+        compute_psa(system, pert, N=15.0, tol=1e-4)
+    assert _fields(predict(system, pert, N=np.int64(15), tol=1e-4)) == _fields(want)
+    assert len(assemblies) == 1
+
+
 def test_predict_keeps_no_system_alive():
     system = _criterion10_plant(np.random.default_rng(3), 3, 2)
     predict(system, PerturbationSpec((1.0,) * 3, 0.05), N=12, tol=1e-4)
@@ -647,7 +712,7 @@ def test_bisect_matches_reference_on_poles(monkeypatch, one_delay,
         return level_test(ham)
 
     disc, pert = _shifted_disc(one_delay, one_delay_pert, 15)
-    monkeypatch.setattr(predictor, "level_approx", on_pole)
+    monkeypatch.setattr(predictor, "char_matrix_approx", on_pole)
     monkeypatch.setattr(predictor, "imaginary_axis_frequencies", counted)
     iterations = _assert_matches_reference(disc, pert, 1e-6)
     assert len(poles) >= iterations
