@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from .corrector import AllStartsFailedError, correct
+from .corrector import AllStartsFailedError, correct, gn_tolerance
 from .model import PerturbationSpec, TimeDelaySystem
 from .numerics import DelayPsaError
 from .oracle import (
@@ -155,8 +155,17 @@ def cmd_compute(args):
 def cmd_contour(args):
     name, system, pert = _load(args)
     region = _region_from_args(args)
-    curves = contours(system, pert, region)
+    # the solver checks --gn-tol, --N and --tol before the contours run
+    gn_tol = gn_tolerance(args.gn_tol)
     prediction = predict(system, pert, N=args.N, tol=args.tol)
+    try:
+        correction = correct(system, pert, prediction, gn_tol=gn_tol)
+        answer = [f"# alpha_pred={prediction.alpha_pred!r}",
+                  f"# alpha_eps={correction.alpha_eps!r}",
+                  f"# omega_eps={correction.omega_eps!r}"]
+    except AllStartsFailedError as exc:
+        answer = [f"# alpha_eps_error={exc}"]
+    curves = contours(system, pert, region)
     lines = [
         f"# name={name}",
         f"# level={curves.level!r}",
@@ -165,14 +174,8 @@ def cmd_contour(args):
         f"# im_min={region.im_min!r} im_max={region.im_max!r}",
         f"# n_re={region.n_re} n_im={region.n_im}",
         f"# spectral_abscissa={prediction.shift_used!r}",
+        *answer,
     ]
-    try:
-        correction = correct(system, pert, prediction, gn_tol=args.gn_tol)
-        lines.append(f"# alpha_pred={prediction.alpha_pred!r}")
-        lines.append(f"# alpha_eps={correction.alpha_eps!r}")
-        lines.append(f"# omega_eps={correction.omega_eps!r}")
-    except AllStartsFailedError as exc:
-        lines.append(f"# alpha_eps_error={exc}")
     for root in prediction.roots:
         lines.append(f"# root={float(root.real)!r},{float(root.imag)!r}")
     lines.append("polyline_id,re,im")
@@ -186,6 +189,7 @@ def cmd_contour(args):
 def cmd_oracle(args):
     name, system, pert = _load(args)
     region = _region_from_args(args)
+    gn_tol = gn_tolerance(args.gn_tol) if args.compare else None
     result = grid_psa(system, pert, region, refine_iters=args.refine)
     record = {
         "name": name,
@@ -195,8 +199,7 @@ def cmd_oracle(args):
         "epsilon": pert.epsilon,
     }
     if args.compare:
-        psa = compute_psa(system, pert, N=args.N, tol=args.tol,
-                          gn_tol=args.gn_tol)
+        psa = compute_psa(system, pert, N=args.N, tol=args.tol, gn_tol=gn_tol)
         record["alpha_eps"] = psa.alpha_eps
         record["gap"] = abs(psa.alpha_eps - result.value)
     _write(json.dumps(record, indent=2) + "\n", args.output)

@@ -30,6 +30,7 @@ from . import numerics
 from .model import char_matrix, check_pair, eval_weight
 
 GN_MAX_ITER = 50  # Gauss-Newton iterations per start
+GN_TOL = 1e-10  # default residual tolerance, scaled by 1 + max ||A_i||_2
 
 
 class AllStartsFailedError(numerics.DelayPsaError):
@@ -171,28 +172,28 @@ class GaussNewtonResult:
 
 
 def gn_tolerance(gn_tol):
-    """gn_tol as a float (1e-10 for None); ValueError unless 0 < gn_tol < inf."""
-    gn_tol = 1e-10 if gn_tol is None else float(gn_tol)
+    """gn_tol as a float (GN_TOL for None); ValueError unless 0 < gn_tol < inf."""
+    gn_tol = GN_TOL if gn_tol is None else float(gn_tol)
     if not 0.0 < gn_tol < math.inf:
         raise ValueError(f"gn_tol must be positive and finite, got {gn_tol!r}")
     return gn_tol
 
 
-def gauss_newton(system, pert, start, gn_tol=None):
+def gauss_newton(system, pert, start, gn_tol=GN_TOL):
     """Solve the extremality system from a CorrectorState start.
 
     Full-step Gauss-Newton through a dense least-squares solve, with one
     `jacobian` linearization per iteration.  status records the first exit
     met, tested in this order at each iterate: ||r|| <= gn_tol *
-    (1 + max ||A_i||_2) (`gn_tolerance`), the last step below
-    1e-14 relative, three consecutive residual increases, GN_MAX_ITER steps
-    taken, a rank-deficient step; an iterate so far left that w(sigma) or
+    (1 + max ||A_i||_2), the last step below 1e-14 relative, three
+    consecutive residual increases, GN_MAX_ITER steps taken, a
+    rank-deficient step; an iterate so far left that w(sigma) or
     F overflows is diverged.  A converged run takes one more step from the
     Jacobian of the converged iterate, unless it is rank deficient, so the
     error no longer depends on the start; the returned state is then one
     step past the last of residual_norms (the norms evaluated), and the step
     is not counted in iterations.  The result is also `correct`'s per-start
-    record.  Raises ValueError unless gn_tol passes `gn_tolerance`.
+    record.  gn_tol is trusted: `correct` applies `gn_tolerance` to it.
     """
     state = CorrectorState(
         x=start.x.astype(complex),
@@ -200,7 +201,7 @@ def gauss_newton(system, pert, start, gn_tol=None):
         sigma=float(start.sigma),
         anchor=start.anchor.astype(complex),
     )
-    threshold = gn_tolerance(gn_tol) * (1.0 + max(system.norms))
+    threshold = gn_tol * (1.0 + max(system.norms))
     norms, grew, stalled, status = [], 0, False, None
     for iterations in range(GN_MAX_ITER + 1):
         try:

@@ -24,7 +24,7 @@ from .model import TimeDelaySystem
 
 @dataclass(frozen=True)
 class Mesh:
-    """Interpolation nodes on [-span, 0], ascending, with barycentric weights."""
+    """Interpolation nodes, ascending to 0, with barycentric weights."""
 
     points: np.ndarray
     bary_weights: np.ndarray
@@ -33,10 +33,6 @@ class Mesh:
     def N(self):
         return len(self.points) - 1
 
-    @property
-    def span(self):
-        return -float(self.points[0])
-
 
 def chebyshev_mesh(N, tau_max):
     """Chebyshev extremal mesh with N+1 points on [-tau_max, 0].
@@ -44,11 +40,8 @@ def chebyshev_mesh(N, tau_max):
     Node k (k = 0..N) sits at (tau_max/2) * (cos((k - N) pi / N) - 1); the
     first node is -tau_max, the last is exactly 0.  Barycentric weights are
     (-1)^k, halved at both endpoints (any common scaling is immaterial).
+    The caller guarantees N >= 1 and tau_max > 0.
     """
-    if N < 1:
-        raise ValueError("invalid N: mesh needs N >= 1")
-    if not tau_max > 0.0:
-        raise ValueError("invalid span: tau_max must be > 0")
     i = np.arange(-N, 1, dtype=float)
     points = 0.5 * tau_max * (np.cos(i * np.pi / N) - 1.0)
     points[-1] = 0.0
@@ -78,14 +71,12 @@ def differentiation_matrix(mesh):
 
 
 def lagrange_values(mesh, t):
-    """Values of all Lagrange cardinal polynomials at t in [-span, 0].
+    """Values of all Lagrange cardinal polynomials at t on the mesh interval.
 
     Exact unit vector when t hits a node; otherwise the barycentric second
     form, which sums to 1 identically.
     """
     x = mesh.points
-    if t < x[0] - 1e-12 * mesh.span or t > 1e-12 * mesh.span:
-        raise ValueError(f"t={t} outside the mesh interval [{x[0]}, 0]")
     d = t - x
     exact = d == 0.0
     if exact.any():
@@ -146,10 +137,11 @@ def assemble(system, N):
     The top N block rows replicate the differentiation matrix (d[i, k] I);
     the bottom block row [Gamma_0 ... Gamma_N] has Gamma_k = sum_i
     l_k(-tau_i) A_i plus A_0 at k = N, splicing the derivative condition at
-    0 into the mesh.  N is checked by `mesh_order`; delay-free systems
-    admit N = 0 (A_N = A_0), and for m >= 1 the mesh spans [-tau_max, 0].
+    0 into the mesh.  N must pass `mesh_order`, which `predict` applies;
+    delay-free systems admit N = 0 (A_N = A_0), and for m >= 1 the mesh
+    spans [-tau_max, 0].
     """
-    N, n = mesh_order(system, N), system.n
+    n = system.n
     if N == 0:
         mesh = Mesh(np.zeros(1), np.ones(1))
     else:

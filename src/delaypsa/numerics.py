@@ -40,11 +40,6 @@ class SingularMatrixError(DelayPsaError):
 class RankDeficientError(DelayPsaError):
     """Least-squares matrix has numerically deficient column rank."""
 
-    def __init__(self, rank, needed):
-        super().__init__(f"numerical rank {rank} < {needed} columns")
-        self.rank = rank
-        self.needed = needed
-
 
 def eig_real(matrix):
     """Eigenvalues of a real square matrix.
@@ -52,25 +47,15 @@ def eig_real(matrix):
     Returns the eigenvalue array, complex (conjugate pairs for real input).
     Raises NoConvergenceError if the QR iteration fails.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig_real expects a square 2-d array")
     try:
-        return np.linalg.eigvals(a)
+        return np.linalg.eigvals(np.asarray(matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def _stack(matrix):  # both SVD kernels' input check
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2:
-        raise ValueError("expected a 2-d array or a stack of them")
-    return a
-
-
 def svd_complex(matrix, vectors=False):
     """Singular values of a matrix or stack; with vectors, numpy's (u, s, vh) tuple."""
-    a = _stack(matrix)
+    a = np.asarray(matrix, dtype=complex)
     try:
         return np.linalg.svd(a) if vectors else np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -83,7 +68,7 @@ def singular_values(stack):
     Batched helper for grid evaluation; values are sorted descending along
     the last axis as with svd_complex.
     """
-    a = _stack(stack)
+    a = np.asarray(stack, dtype=complex)
     count = int(np.prod(a.shape[:-2]))
     try:
         if count <= _PIECE or _WORKERS < 2:
@@ -119,12 +104,12 @@ def solve_complex(a, b):
 def least_squares_real(jac, res):
     """Step minimizing || jac @ step + res ||_2 for real jac of full column rank.
 
-    Raises RankDeficientError (carrying the numerical rank) when the rank
-    reported by the QR/SVD solve falls short of the column count.
+    Raises RankDeficientError (its message gives the numerical rank) when
+    the rank reported by the QR/SVD solve falls short of the column count.
     """
     j = np.asarray(jac, dtype=float)
     r = np.asarray(res, dtype=float)
     step, _, rank, _ = np.linalg.lstsq(j, -r, rcond=None)
     if rank < j.shape[1]:
-        raise RankDeficientError(rank, j.shape[1])
+        raise RankDeficientError(f"numerical rank {rank} < {j.shape[1]} columns")
     return step

@@ -355,6 +355,51 @@ def test_contour_header_when_correction_fails(tmp_path, capsys):
         assert any(l.startswith(key) for l in header), key
 
 
+def _stages(monkeypatch, *names):
+    """Replace each named cli stage with a recorder that fails if reached."""
+    reached = []
+
+    def stage(name):
+        def reach(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"{name} ran")
+        return reach
+
+    for name in names:
+        monkeypatch.setattr(cli, name, stage(name))
+    return reached
+
+
+@pytest.mark.parametrize("option", ["--gn-tol", "--tol"])
+def test_contour_checks_solver_options_before_contours(tmp_path, capsys,
+                                                       monkeypatch, option):
+    # a bad --gn-tol stops before the prediction, a bad --tol inside it;
+    # neither reaches the contour extraction
+    reached = _stages(monkeypatch, "contours",
+                      *(["predict"] if option == "--gn-tol" else []))
+    path = write_file(tmp_path, ONE_DELAY)
+    code, out, err = run(
+        capsys, "contour", path, option, "0",
+        "--re-min", "-0.5", "--re-max", "0.1",
+        "--im-min", "0.0", "--im-max", "2.0",
+    )
+    assert (code, out, reached) == (1, "", [])
+    assert err.startswith("error:") and "positive and finite" in err
+
+
+def test_oracle_compare_checks_gn_tol_before_the_grid(tmp_path, capsys,
+                                                      monkeypatch):
+    reached = _stages(monkeypatch, "grid_psa")
+    path = write_file(tmp_path, ONE_DELAY)
+    code, out, err = run(
+        capsys, "oracle", path, "--compare", "--gn-tol", "0",
+        "--re-min", "-0.5", "--re-max", "0.2",
+        "--im-min", "0", "--im-max", "2",
+    )
+    assert (code, out, reached) == (1, "", [])
+    assert err.startswith("error:") and "gn_tol" in err
+
+
 # --- oracle -------------------------------------------------------------------
 
 

@@ -313,7 +313,8 @@ def _off_disk_state():
 
 def test_gauss_newton_rank_deficient_exit(monkeypatch):
     def deficient(jac, res):
-        raise numerics.RankDeficientError(3, jac.shape[1])
+        raise numerics.RankDeficientError(
+            f"numerical rank 3 < {jac.shape[1]} columns")
 
     monkeypatch.setattr(numerics, "least_squares_real", deficient)
     run = gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
@@ -329,7 +330,8 @@ def test_gauss_newton_keeps_converged_state_without_polish(monkeypatch):
 
     def deficient_when_converged(jac, res):
         if np.linalg.norm(res) <= 1e-10:
-            raise numerics.RankDeficientError(3, jac.shape[1])
+            raise numerics.RankDeficientError(
+                f"numerical rank 3 < {jac.shape[1]} columns")
         return solve(jac, res)
 
     monkeypatch.setattr(numerics, "least_squares_real", deficient_when_converged)
@@ -434,7 +436,8 @@ def test_correct_warns_on_failed_starts(one_delay, one_delay_pert, monkeypatch):
     def first_fails(jac, res):
         calls.append(1)
         if len(calls) == 1:
-            raise numerics.RankDeficientError(0, jac.shape[1])
+            raise numerics.RankDeficientError(
+                f"numerical rank 0 < {jac.shape[1]} columns")
         return solve(jac, res)
 
     pred = crossing_prediction(one_delay, one_delay_pert)
@@ -505,14 +508,22 @@ def test_gn_tol_outside_range_is_rejected(one_delay, one_delay_pert, gn_tol):
     pred = predict(one_delay, one_delay_pert, N=15, tol=1e-3)
     with pytest.raises(ValueError, match="gn_tol"):
         correct(one_delay, one_delay_pert, pred, gn_tol=gn_tol)
-    with pytest.raises(ValueError, match="gn_tol"):
-        gauss_newton(delay_free(0.0), PerturbationSpec((1.0,), 0.25),
-                     disk_state(0.0, 0.25), gn_tol=gn_tol)
+
+
+def test_correct_checks_gn_tol_once(one_delay, one_delay_pert, monkeypatch):
+    # correct checks gn_tol where it enters; gauss_newton trusts it
+    pred = crossing_prediction(one_delay, one_delay_pert)
+    check, calls = corrector.gn_tolerance, []
+    monkeypatch.setattr(corrector, "gn_tolerance",
+                        lambda gn_tol: calls.append(gn_tol) or check(gn_tol))
+    res = correct(one_delay, one_delay_pert, pred)
+    assert len(res.per_start) == 2 and calls == [None]
 
 
 def test_gn_tol_extremes_inside_range_are_accepted():
     pert = PerturbationSpec((1.0,), 0.25)
     for gn_tol in (5e-324, 1e308):
+        assert corrector.gn_tolerance(gn_tol) == gn_tol
         run = gauss_newton(delay_free(0.0), pert, disk_state(0.0, 0.25),
                            gn_tol=gn_tol)
         assert run.status in ("converged", "stalled")

@@ -10,6 +10,7 @@ from delaypsa import (
     compute_psa,
     eval_weight,
     numerics,
+    predict,
 )
 from delaypsa.discretization import (
     assemble,
@@ -55,13 +56,6 @@ def test_mesh_matches_direct_formula():
         expect = 0.5 * span * (np.cos(np.arange(-N, 1) * np.pi / N) - 1.0)
         assert np.max(np.abs(mesh.points - expect)) < 1e-14
         assert mesh.points[0] == -span and mesh.points[-1] == 0.0
-
-
-def test_mesh_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        chebyshev_mesh(0, 1.0)
-    with pytest.raises(ValueError):
-        chebyshev_mesh(3, 0.0)
 
 
 # --- differentiation matrix ----------------------------------------------
@@ -115,12 +109,6 @@ def test_lagrange_partition_of_unity():
 def test_lagrange_linear_midpoint():
     vals = lagrange_values(chebyshev_mesh(1, 1.0), -0.5)
     assert np.allclose(vals, [0.5, 0.5])
-
-
-def test_lagrange_rejects_out_of_range():
-    mesh = chebyshev_mesh(3, 1.0)
-    with pytest.raises(ValueError):
-        lagrange_values(mesh, 0.5)
 
 
 # --- collocation state matrix ---------------------------------------------
@@ -229,20 +217,25 @@ def test_reassemble_matches_assemble(recipe):
         assert not disc.state_matrix.flags.writeable
 
 
-def test_assemble_rejects_invalid_n(one_delay):
+def test_predict_rejects_invalid_n(one_delay):
+    # predict applies mesh_order, the rule for N, before any assembly
+    pert = PerturbationSpec((1.0, 1.0), 0.1)
+    free_pert = PerturbationSpec((1.0,), 0.1)
     for N in (2.5, 6.0, "6", None):
         with pytest.raises(ValueError, match="^invalid N"):
-            assemble(one_delay, N)
+            predict(one_delay, pert, N=N)
     for N in (-1, -3):
         with pytest.raises(ValueError, match="^invalid N"):
-            assemble(one_delay, N)
+            predict(one_delay, pert, N=N)
         with pytest.raises(ValueError, match="^invalid N"):
-            assemble(delay_free(1.0), N)
+            predict(delay_free(1.0), free_pert, N=N)
     with pytest.raises(ValueError, match="^invalid N"):
-        assemble(one_delay, 0)  # N = 0 only for delay-free systems
+        predict(one_delay, pert, N=0)  # N = 0 only for delay-free systems
     with pytest.raises(ValueError, match="^invalid N"):
-        compute_psa(one_delay, PerturbationSpec((1.0, 1.0), 0.1), N=2.5)
-    # numpy integers are integers
+        compute_psa(one_delay, pert, N=2.5)
+
+
+def test_assemble_takes_numpy_integer_n(one_delay):
     disc = assemble(one_delay, np.int64(6))
     assert disc.N == 6 and type(disc.N) is int
     assert np.array_equal(disc.state_matrix, assemble(one_delay, 6).state_matrix)
